@@ -230,6 +230,9 @@ struct SimdData {
   std::vector<double> soa[4];
   std::vector<double> aos;  // same points as soa, AoS layout for presimd
   double q[4];
+  // One full-size wire Frame message: 24-byte header + two 96x72 f64 RGB
+  // planes + fixed fields, the span the server checksums per frame.
+  std::vector<std::uint8_t> frame_msg;
   image::Image frame{64, 64};
   // Fractional nasal-ROI-sized region: exercises boundary columns plus a
   // ~52-pixel dispatched interior run per row.
@@ -275,6 +278,8 @@ struct SimdData {
       for (std::size_t a = 0; a < 4; ++a) aos[4 * i + a] = soa[a][i];
     }
     for (double& v : q) v = next();
+    frame_msg.resize(331832);
+    for (auto& b : frame_msg) b = static_cast<std::uint8_t>(256.0 * next());
   }
 };
 
@@ -349,6 +354,17 @@ std::vector<SimdWorkload> simd_workloads() {
        [&d](double* out) {
          lumichat::bench::presimd_euclidean_batch(d.aos.data(),
                                                   d.soa[0].size(), d.q, out);
+       }},
+      // The CRC is an integer; it fits a double exactly, so the
+      // bit-equality gate compares it like any other output.
+      {"crc32_update", 1,
+       [&d](const simd::Kernels& k, double* out) {
+         out[0] = k.crc32_update(0xFFFFFFFFu, d.frame_msg.data(),
+                                 d.frame_msg.size());
+       },
+       [&d](double* out) {
+         out[0] = lumichat::bench::presimd_crc32_update(
+             0xFFFFFFFFu, d.frame_msg.data(), d.frame_msg.size());
        }},
   };
 }

@@ -1,6 +1,7 @@
 #include "presimd_ref.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "image/luminance.hpp"
@@ -81,6 +82,25 @@ void presimd_euclidean_batch(const double* aos, std::size_t n,
     }
     out[i] = std::sqrt(d2);
   }
+}
+
+std::uint32_t presimd_crc32_update(std::uint32_t state,
+                                   const std::uint8_t* data, std::size_t len) {
+  static constexpr std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  for (std::size_t i = 0; i < len; ++i) {
+    state = table[(state ^ data[i]) & 0xFFu] ^ (state >> 8);
+  }
+  return state;
 }
 
 }  // namespace lumichat::bench

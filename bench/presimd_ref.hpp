@@ -7,7 +7,8 @@
 //  * reductions (sum / pearson / ROI luminance) accumulated into single
 //    serial chains — latency-bound, with no instruction-level parallelism;
 //  * the KD-tree leaf scan called euclidean() — including its sqrt — for
-//    every candidate, one at a time, interleaved with heap maintenance.
+//    every candidate, one at a time, interleaved with heap maintenance;
+//  * the wire CRC-32 ran one byte at a time through a 256-entry table.
 //
 // The TU is compiled with -fno-tree-vectorize (see bench/CMakeLists.txt):
 // the original code was not auto-vectorizable (serial FP reductions cannot
@@ -16,6 +17,7 @@
 // baseline.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "image/image.hpp"
 
@@ -45,5 +47,10 @@ double presimd_luminance_row(const double* rgb, std::size_t npix, double lr,
 /// computation. `aos` holds n points of 4 contiguous doubles each.
 void presimd_euclidean_batch(const double* aos, std::size_t n,
                              const double q[4], double* out);
+
+/// The original wire crc32_update: one table lookup per byte, a serial
+/// dependency chain through the running state.
+std::uint32_t presimd_crc32_update(std::uint32_t state,
+                                   const std::uint8_t* data, std::size_t len);
 
 }  // namespace lumichat::bench

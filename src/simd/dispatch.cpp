@@ -18,12 +18,24 @@ bool cpu_supports_avx2() {
 #endif
 }
 
+bool cpu_supports_pclmul() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("pclmul") != 0;
+#else
+  return false;
+#endif
+}
+
 bool build_has_avx2() {
 #if defined(LUMICHAT_SIMD_HAS_AVX2)
   return true;
 #else
   return false;
 #endif
+}
+
+bool avx2_table_usable(bool build_avx2, bool cpu_avx2, bool cpu_pclmul) {
+  return build_avx2 && cpu_avx2 && cpu_pclmul;
 }
 
 Isa resolve_isa(const char* env, bool avx2_usable) {
@@ -38,7 +50,8 @@ namespace {
 
 Isa resolve_once() {
   const char* env = std::getenv("LUMICHAT_SIMD");
-  const bool usable = build_has_avx2() && cpu_supports_avx2() &&
+  const bool usable = avx2_table_usable(build_has_avx2(), cpu_supports_avx2(),
+                                        cpu_supports_pclmul()) &&
                       avx2_kernels() != nullptr;
   if (env != nullptr && env[0] != '\0' && std::strcmp(env, "scalar") != 0 &&
       std::strcmp(env, "avx2") != 0) {
@@ -49,8 +62,10 @@ Isa resolve_once() {
   } else if (env != nullptr && std::strcmp(env, "avx2") == 0 && !usable) {
     std::fprintf(stderr,
                  "[simd] LUMICHAT_SIMD=avx2 requested but AVX2 is "
-                 "unavailable (build=%d cpu=%d); using scalar\n",
-                 build_has_avx2() ? 1 : 0, cpu_supports_avx2() ? 1 : 0);
+                 "unavailable (build=%d cpu avx2=%d pclmul=%d); using "
+                 "scalar\n",
+                 build_has_avx2() ? 1 : 0, cpu_supports_avx2() ? 1 : 0,
+                 cpu_supports_pclmul() ? 1 : 0);
   }
   return resolve_isa(env, usable);
 }

@@ -4,7 +4,8 @@
 // from two inputs:
 //
 //   * CPUID: the AVX2 table is only ever selected when the running CPU
-//     reports AVX2 support (and the build could compile it).
+//     reports both AVX2 and PCLMUL (its CRC-32 kernel folds with
+//     PCLMULQDQ) and the build could compile it.
 //   * LUMICHAT_SIMD=avx2|scalar — an override for testing and triage. The
 //     forced-scalar CI job runs the whole unit tier with
 //     LUMICHAT_SIMD=scalar so the fallback path stays exercised; forcing
@@ -27,8 +28,16 @@ enum class Isa { kScalar, kAvx2 };
 /// build could compile the AVX2 table).
 [[nodiscard]] bool cpu_supports_avx2();
 
+/// True when the running CPU supports PCLMULQDQ (carry-less multiply).
+[[nodiscard]] bool cpu_supports_pclmul();
+
 /// True when the AVX2 table was compiled into this binary.
 [[nodiscard]] bool build_has_avx2();
+
+/// Pure usability rule, exposed for tests: the AVX2 table may run only when
+/// it was built and the CPU reports both AVX2 and PCLMUL.
+[[nodiscard]] bool avx2_table_usable(bool build_avx2, bool cpu_avx2,
+                               bool cpu_pclmul);
 
 /// Pure resolution rule, exposed for tests: `env` is the value of
 /// LUMICHAT_SIMD (nullptr/"" = unset, which auto-selects), `avx2_usable`
@@ -39,8 +48,8 @@ enum class Isa { kScalar, kAvx2 };
 /// The scalar table (always available).
 [[nodiscard]] const Kernels& scalar_kernels();
 
-/// The AVX2 table, or nullptr when the build or the running CPU lacks
-/// AVX2. Tests pin both tables through this pair to property-check
+/// The AVX2 table, or nullptr when the build lacks it or the running CPU
+/// lacks AVX2 or PCLMUL. Tests pin both tables through this pair to property-check
 /// bit-equality without touching the environment.
 [[nodiscard]] const Kernels* avx2_kernels();
 

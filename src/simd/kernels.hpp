@@ -3,7 +3,8 @@
 // Every per-frame stage of the defense — nasal-ROI luminance reduction over
 // raw pixels, the FIR/Savitzky–Golay convolution chain, delay compensation /
 // resampling, the Pearson trend statistics, and the 4-D LOF distance scans —
-// bottoms out in one of the kernels below. Each kernel has two
+// bottoms out in one of the kernels below, as does the CRC-32 that seals
+// every wire message (src/wire/crc32.hpp). Each kernel has two
 // implementations (scalar and AVX2) selected once at startup (see
 // dispatch.hpp), and the two must agree BIT FOR BIT on every input.
 //
@@ -24,6 +25,10 @@
 //    identical by construction. W is 4 for plain double reductions and 12
 //    (three 4-lane registers over interleaved r,g,b) for pixel reductions.
 //
+//  * crc32_update is integer arithmetic over GF(2): any correct
+//    implementation returns the same bits, so the two paths differ only in
+//    speed (slicing-by-8 tables vs PCLMULQDQ folding).
+//
 //  * No FMA contraction: both kernel translation units are compiled with
 //    -ffp-contract=off and the AVX2 path uses only mul/add intrinsics, so
 //    a*b+c rounds twice in both paths.
@@ -35,6 +40,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace lumichat::simd {
 
@@ -105,6 +111,13 @@ struct Kernels {
   void (*squared_dist4_batch)(const double* xs, const double* ys,
                               const double* zs, const double* ws,
                               std::size_t n, const double q[4], double* out);
+
+  /// Folds `len` bytes into a running CRC-32 state: IEEE 802.3, reflected
+  /// polynomial 0xEDB88320, no pre/post inversion (the caller starts from
+  /// 0xFFFFFFFF and XORs the final state, see wire/crc32.hpp). Chained
+  /// calls over consecutive spans equal one call over their concatenation.
+  std::uint32_t (*crc32_update)(std::uint32_t state, const std::uint8_t* data,
+                                std::size_t len);
 
   /// Human-readable name of this table ("scalar" / "avx2").
   const char* name;

@@ -7,9 +7,14 @@
 // FMA — and the TU is compiled with -ffp-contract=off, so results are bit
 // for bit identical to kernels_scalar.cpp (property-gated in tests/simd/).
 //
-// This TU is compiled with -mavx2 and is only entered when dispatch.cpp
-// selected the AVX2 table, which requires runtime CPUID support.
+// crc32_update folds with PCLMULQDQ (carry-less multiply) instead: CRC is
+// exact GF(2) arithmetic, so the folded result equals the scalar table's.
+//
+// This TU is compiled with -mavx2 -mpclmul and is only entered when
+// dispatch.cpp selected the AVX2 table, which requires runtime CPUID support
+// for both extensions.
 #include <cstddef>
+#include <cstdint>
 
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
@@ -287,10 +292,81 @@ void squared_dist4_batch_avx2(const double* xs, const double* ys,
   }
 }
 
+/// CRC-32 of a 16-byte-multiple span of at least 64 bytes by carry-less
+/// folding (Gopal et al., "Fast CRC Computation for Generic Polynomials
+/// Using PCLMULQDQ Instruction", Intel 2009): four 128-bit lanes fold 64
+/// bytes per step, collapse into one lane, fold the remaining 16-byte
+/// blocks, then reduce 128 -> 64 -> 32 bits with a Barrett reduction. The
+/// constants are the paper's bit-reflected ones for 0xEDB88320: the fold
+/// multipliers for 64- and 16-byte distances (k1k2, k3k4), x^64 mod P (k5),
+/// and the Barrett pair P' and mu.
+std::uint32_t crc32_fold_pclmul(std::uint32_t state, const std::uint8_t* data,
+                                std::size_t len) {
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  auto load = [](const std::uint8_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  };
+  // acc * x^(fold distance) + next, with the 64-bit halves multiplied by
+  // their own constant (low half by k[63:0], high half by k[127:64]).
+  auto fold = [](__m128i acc, __m128i k, __m128i next) {
+    const __m128i lo = _mm_clmulepi64_si128(acc, k, 0x00);
+    const __m128i hi = _mm_clmulepi64_si128(acc, k, 0x11);
+    return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
+  };
+
+  __m128i x1 =
+      _mm_xor_si128(load(data), _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x2 = load(data + 16);
+  __m128i x3 = load(data + 32);
+  __m128i x4 = load(data + 48);
+  data += 64;
+  len -= 64;
+  for (; len >= 64; data += 64, len -= 64) {
+    x1 = fold(x1, k1k2, load(data));
+    x2 = fold(x2, k1k2, load(data + 16));
+    x3 = fold(x3, k1k2, load(data + 32));
+    x4 = fold(x4, k1k2, load(data + 48));
+  }
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; len >= 16; data += 16, len -= 16) x1 = fold(x1, k3k4, load(data));
+
+  // 128 -> 64 bits: fold the low half onto the high half, then the low 32
+  // bits of that onto the rest with x^64 mod P.
+  x2 = _mm_clmulepi64_si128(x1, k3k4, 0x10);
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), x2);
+  x2 = _mm_srli_si128(x1, 4);
+  x1 = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00);
+  x1 = _mm_xor_si128(x1, x2);
+
+  // Barrett reduction 64 -> 32 bits.
+  x2 = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly_mu, 0x10);
+  x2 = _mm_clmulepi64_si128(_mm_and_si128(x2, low32), poly_mu, 0x00);
+  x1 = _mm_xor_si128(x1, x2);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
+}
+
+std::uint32_t crc32_update_avx2(std::uint32_t state, const std::uint8_t* data,
+                                std::size_t len) {
+  if (len < 64) return detail::crc32_slice8(state, data, len);
+  const std::size_t folded = len - len % 16;
+  state = crc32_fold_pclmul(state, data, folded);
+  return detail::crc32_slice8(state, data + folded, len - folded);
+}
+
 }  // namespace
 
 const Kernels* avx2_kernels() {
-  if (!cpu_supports_avx2()) return nullptr;
+  if (!avx2_table_usable(build_has_avx2(), cpu_supports_avx2(),
+                         cpu_supports_pclmul())) {
+    return nullptr;
+  }
   static constexpr Kernels table = {
       sum_avx2,
       sum_sq_diff_avx2,
@@ -302,6 +378,7 @@ const Kernels* avx2_kernels() {
       luminance_row_sum_avx2,
       rgb_channel_sums_avx2,
       squared_dist4_batch_avx2,
+      crc32_update_avx2,
       "avx2",
   };
   return &table;

@@ -1,15 +1,19 @@
 // Shared per-output scalar helpers for the SIMD kernel translation units.
 //
 // Both kernels_scalar.cpp and kernels_avx2.cpp include this header for edge
-// handling and sub-vector tails, so those samples go through literally the
-// same expressions in both dispatch paths (and both TUs are compiled with
-// -ffp-contract=off, so no path gains FMA contraction the other lacks).
+// handling and sub-vector tails (and the CRC-32 table loop, which is the
+// scalar kernel and the AVX2 kernel's short-input path), so those samples
+// go through literally the same expressions in both dispatch paths (and
+// both TUs are compiled with -ffp-contract=off, so no path gains FMA
+// contraction the other lacks).
 // Internal to src/simd — call sites use kernels.hpp / dispatch.hpp.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace lumichat::simd::detail {
 
@@ -73,6 +77,57 @@ inline double squared_dist4_one(const double* xs, const double* ys,
   const double dw = q[3] - ws[i];
   acc += dw * dw;
   return acc;
+}
+
+/// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320,
+/// built at compile time: table[0] is the classic byte table, table[k][b]
+/// advances byte b through k further zero bytes.
+consteval std::array<std::array<std::uint32_t, 256>, 8> make_crc32_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32Tables =
+    make_crc32_tables();
+
+/// Little-endian 32-bit load, independent of host byte order.
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+/// Table-driven CRC-32 update: eight bytes per step through the slicing
+/// tables, then the < 8-byte tail one byte at a time. The scalar table's
+/// kernel, and the AVX2 table's path for short inputs and folding tails.
+inline std::uint32_t crc32_slice8(std::uint32_t state, const std::uint8_t* data,
+                                  std::size_t len) {
+  const auto& t = kCrc32Tables;
+  for (; len >= 8; data += 8, len -= 8) {
+    const std::uint32_t lo = load_le32(data) ^ state;
+    const std::uint32_t hi = load_le32(data + 4);
+    state = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+            t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+            t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    state = t[0][(state ^ *data) & 0xFFu] ^ (state >> 8);
+  }
+  return state;
 }
 
 }  // namespace lumichat::simd::detail

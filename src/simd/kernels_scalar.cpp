@@ -193,6 +193,7 @@ const Kernels& scalar_kernels() {
       luminance_row_sum_scalar,
       rgb_channel_sums_scalar,
       squared_dist4_batch_scalar,
+      detail::crc32_slice8,
       "scalar",
   };
   return table;

@@ -33,6 +33,23 @@ TEST(ResolveIsa, UnknownValueAutoSelects) {
   EXPECT_EQ(resolve_isa("sse9", false), Isa::kScalar);
 }
 
+TEST(ResolveIsa, Avx2TableNeedsBuildAvx2AndPclmul) {
+  // The AVX2 table's CRC-32 kernel issues PCLMULQDQ, so a CPU with AVX2
+  // but no PCLMUL must get the scalar table.
+  for (const bool build : {false, true}) {
+    for (const bool avx2 : {false, true}) {
+      for (const bool pclmul : {false, true}) {
+        EXPECT_EQ(avx2_table_usable(build, avx2, pclmul),
+                  build && avx2 && pclmul)
+            << build << avx2 << pclmul;
+      }
+    }
+  }
+  const bool no_pclmul = avx2_table_usable(true, true, false);
+  EXPECT_EQ(resolve_isa(nullptr, no_pclmul), Isa::kScalar);
+  EXPECT_EQ(resolve_isa("avx2", no_pclmul), Isa::kScalar);
+}
+
 TEST(Dispatch, IsaNames) {
   EXPECT_STREQ(isa_name(Isa::kScalar), "scalar");
   EXPECT_STREQ(isa_name(Isa::kAvx2), "avx2");
@@ -54,6 +71,7 @@ TEST(Dispatch, Avx2TableRequiresBuildAndCpu) {
     EXPECT_STREQ(k->name, "avx2");
     EXPECT_TRUE(build_has_avx2());
     EXPECT_TRUE(cpu_supports_avx2());
+    EXPECT_TRUE(cpu_supports_pclmul());
   }
 }
 
@@ -63,12 +81,16 @@ TEST(Dispatch, ActiveTableMatchesActiveIsa) {
   if (active_isa() == Isa::kAvx2) {
     EXPECT_TRUE(build_has_avx2());
     EXPECT_TRUE(cpu_supports_avx2());
+    EXPECT_TRUE(cpu_supports_pclmul());
   }
   // The forced-scalar CI job relies on the env knob actually pinning the
-  // process-wide table.
+  // process-wide table — including the wire CRC, so no PCLMUL instruction
+  // runs under LUMICHAT_SIMD=scalar.
   const char* env = std::getenv("LUMICHAT_SIMD");
   if (env != nullptr && std::string_view(env) == "scalar") {
     EXPECT_EQ(active_isa(), Isa::kScalar);
+    EXPECT_EQ(&k, &scalar_kernels());
+    EXPECT_EQ(k.crc32_update, scalar_kernels().crc32_update);
   }
 }
 

@@ -41,7 +41,9 @@ void* counted_alloc(std::size_t size) noexcept {
   return std::malloc(size == 0 ? 1 : size);
 }
 
-void counted_free(void* ptr) noexcept {
+// Kept out of line: once GCC 12 inlines std::free into the replaced
+// operator delete it reports a false -Wmismatched-new-delete.
+[[gnu::noinline]] void counted_free(void* ptr) noexcept {
   if (ptr == nullptr) return;
   if (g_counting.load(std::memory_order_relaxed)) {
     g_frees.fetch_add(1, std::memory_order_relaxed);

@@ -14,6 +14,8 @@
 #include "wire/crc32.hpp"
 #include "wire/protocol.hpp"
 
+#include "../simd/crc32_reference.hpp"
+
 namespace lumichat::wire {
 namespace {
 
@@ -473,6 +475,57 @@ TEST(WireProtocolV1, RoundTripsStillDecode) {
   EXPECT_EQ(encode_hello(buf.data(), buf.size(), 5, 9, HelloMsg{},
                          static_cast<std::uint8_t>(kProtocolVersion + 1)),
             0u);
+}
+
+/// A fixed, non-random 96x72 frame plane (the paper-protocol frame size).
+image::Image fixed_plane(std::size_t salt) {
+  image::Image img(96, 72);
+  for (std::size_t y = 0; y < 72; ++y) {
+    for (std::size_t x = 0; x < 96; ++x) {
+      img.at(x, y) = image::Pixel{
+          static_cast<double>((x * 7 + y * 3 + salt) % 256),
+          static_cast<double>((x + y * 11 + salt) % 256) + 0.25,
+          static_cast<double>((x * y + salt) % 256) * 0.5};
+    }
+  }
+  return img;
+}
+
+TEST(WireProtocolCrc, FixedFrameChecksumIsPinned) {
+  // The CRC of one fixed full-size Frame, in both wire versions, pinned to
+  // the value the byte-at-a-time table loop of earlier builds computed:
+  // whichever kernel table seals and checks it, the wire bytes (and v1/v2
+  // interop) are the ones older builds emit and accept.
+  const image::Image tx = fixed_plane(0);
+  const image::Image rx = fixed_plane(101);
+  const struct {
+    std::uint8_t version;
+    std::uint32_t crc;
+  } pins[] = {{2, 0x7CAC350Cu}, {1, 0x176C99DFu}};
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(static_cast<int>(pin.version));
+    std::vector<std::uint8_t> buf(frame_wire_size(96, 72, pin.version));
+    ASSERT_EQ(encode_frame(buf.data(), buf.size(), 0x0123456789abcdefull, 7,
+                           42, 1000000, tx, rx, 0x9e3779b97f4a7c15ull,
+                           pin.version),
+              buf.size());
+    std::uint32_t sealed = 0;
+    std::memcpy(&sealed, buf.data() + 20, sizeof(sealed));
+    EXPECT_EQ(sealed, pin.crc);
+    const std::uint32_t reference = crc32_final(simd::testref::crc32_bitwise(
+        simd::testref::crc32_bitwise(kCrc32Init, buf.data(), 20),
+        buf.data() + kHeaderSize, buf.size() - kHeaderSize));
+    EXPECT_EQ(reference, pin.crc);
+
+    MessageView view;
+    ASSERT_EQ(decode_message(buf.data(), buf.size(), &view),
+              DecodeStatus::kOk);
+    EXPECT_EQ(view.header.version, pin.version);
+    // One corrupted pixel byte is still caught by the checksum.
+    buf[buf.size() / 2] ^= 0x10;
+    EXPECT_EQ(decode_message(buf.data(), buf.size(), &view),
+              DecodeStatus::kMalformed);
+  }
 }
 
 }  // namespace
