@@ -17,12 +17,11 @@
 //                                              # vs untraced 50-session runs
 //                                              # must agree bit-for-bit, the
 //                                              # trace must parse and nest
-//   ./bench_service_load --telemetry-selftest  # PR-10 gate: wire-fed runs
-//                                              # with stats polling + flight
-//                                              # recorder + heartbeats (and a
-//                                              # v1-client run) must match a
-//                                              # telemetry-dark run verdict
-//                                              # for verdict
+//   ./bench_service_load --telemetry-selftest  # telemetry gate: a wire-fed
+//                                              # run with stats polling +
+//                                              # flight recorder + heartbeats
+//                                              # must match a telemetry-dark
+//                                              # run verdict for verdict
 //   ./bench_service_load --socket=8 10000 2 2 50   # wire-fed mode: drive the
 //                                              # sessions as protocol bytes
 //                                              # over 8 socketpairs through
@@ -409,13 +408,12 @@ int run_socket_bench(std::size_t n_sessions, double duration_s,
 }
 
 /// The bench-smoke telemetry gate, extending the traced-vs-untraced
-/// discipline to the PR-10 surfaces: the same wire-fed spec runs once dark
-/// (no registry, recorder, heartbeats or stats polling) and once fully lit
-/// (registry + armed flight recorder + per-block heartbeat pings + periodic
-/// in-band stats requests), and the per-session verdict sequences must be
-/// bit-identical. A third run with v1 clients proves the legacy interop
-/// path yields the same substance. The captured stats snapshot and the
-/// auto-dumped flight JSONL must both parse and carry the expected series.
+/// discipline to the telemetry surfaces: the same wire-fed spec runs once
+/// dark (no registry, recorder, heartbeats or stats polling) and once fully
+/// lit (registry + armed flight recorder + per-block heartbeat pings +
+/// periodic in-band stats requests), and the per-session verdict sequences
+/// must be bit-identical. The captured stats snapshot and the auto-dumped
+/// flight JSONL must both parse and carry the expected series.
 int run_telemetry_selftest() {
   using namespace lumichat;
   bench::header("Wire-fed load: telemetry-on vs telemetry-off selftest");
@@ -470,15 +468,6 @@ int run_telemetry_selftest() {
 
   check(equivalent_verdicts(dark.sessions, bright.sessions),
         "verdicts bit-identical with recorder + stats polling enabled");
-
-  // Legacy clients: protocol v1 drops trace ids and cannot ask for stats,
-  // but the verdict substance must not move.
-  wire::SocketLoadOptions v1;
-  v1.protocol_version = 1;
-  const service::LoadReport legacy = wire::run_socket_load(
-      load, service_cfg, streaming, models, v1);
-  check(equivalent_verdicts(dark.sessions, legacy.sessions),
-        "verdicts bit-identical when clients speak protocol v1");
 
   // The in-band stats endpoint answered, and the snapshot is the real one.
   check(!stats_json.empty(), "stats endpoint replied during the run");

@@ -17,19 +17,6 @@ FeatureExtraction Detector::featurize(const chat::SessionTrace& trace) const {
   return features_.extract(t_pre, r_pre);
 }
 
-void Detector::train(const std::vector<chat::SessionTrace>& legitimate_traces) {
-  std::vector<FeatureVector> feats;
-  feats.reserve(legitimate_traces.size());
-  for (const chat::SessionTrace& trace : legitimate_traces) {
-    feats.push_back(featurize(trace).features);
-  }
-  lof_.fit(feats);
-}
-
-void Detector::train_on_features(const std::vector<FeatureVector>& features) {
-  lof_.fit(features);
-}
-
 void Detector::attach_model(
     std::shared_ptr<const model::LofModelSnapshot> snapshot) {
   lof_.attach(std::move(snapshot));

@@ -2,7 +2,8 @@
 //
 // Usage mirrors the paper's two phases:
 //   Detector d(config);
-//   d.train(legitimate_traces);          // training phase: legit data only
+//   // training phase: legit data only (features from d.featurize(trace))
+//   d.attach_model(model::fit_lof_model(config, legit_features));
 //   auto r = d.detect(trace);            // one 15-second detection round
 //   auto v = d.detect_rounds(traces);    // multi-round majority voting
 //
@@ -68,19 +69,6 @@ class Detector {
     return lof_.training_data();
   }
 
-  /// Training phase: fit the LOF model on legitimate traces. Deprecated
-  /// shim — featurizes, then builds and attaches a private unregistered
-  /// snapshot; prefer attach_model() with a registry-published snapshot.
-  [[deprecated(
-      "featurize traces, then attach_model(model::fit_lof_model(...))")]]
-  void train(const std::vector<chat::SessionTrace>& legitimate_traces);
-
-  /// Training phase from precomputed features (used when the same features
-  /// feed many experiments). Deprecated shim — builds and attaches a
-  /// private unregistered snapshot.
-  [[deprecated("use attach_model(model::fit_lof_model(config(), features))")]]
-  void train_on_features(const std::vector<FeatureVector>& features);
-
   /// One detection round.
   [[nodiscard]] DetectionResult detect(const chat::SessionTrace& trace) const;
 
@@ -108,10 +96,6 @@ class Detector {
   /// this detector — the attached shared snapshot is immutable.
   void set_tau(double tau) { lof_.set_tau(tau); }
   [[nodiscard]] double tau() const { return lof_.tau(); }
-
-  /// Deprecated alias of set_tau(), kept for one release.
-  [[deprecated("use set_tau()")]]
-  void set_threshold(double tau) { set_tau(tau); }
 
   /// Builds the decision record for one round's result (the full evidence
   /// chain: quality, delay, z1..z4, LOF vs tau, verdict, optional running

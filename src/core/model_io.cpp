@@ -120,13 +120,4 @@ ModelState model_state_of(const DetectorConfig& config,
   return state;
 }
 
-Detector make_detector_from_model(const ModelState& state,
-                                  DetectorConfig config) {
-  config.lof_neighbors = state.k;
-  config.lof_threshold = state.tau;
-  Detector det(config);
-  det.attach_model(snapshot_from_model(state));
-  return det;
-}
-
 }  // namespace lumichat::core

@@ -68,10 +68,4 @@ snapshot_from_model(const ModelState& state);
 [[nodiscard]] ModelState model_state_of(const DetectorConfig& config,
                                         std::vector<FeatureVector> training);
 
-/// Convenience: builds a trained Detector from a loaded state, using
-/// `config` for everything except k/tau (which come from the model).
-/// Deprecated shim — prefer snapshot_from_model() + Detector::attach_model.
-[[nodiscard]] Detector make_detector_from_model(const ModelState& state,
-                                                DetectorConfig config = {});
-
 }  // namespace lumichat::core

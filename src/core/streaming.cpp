@@ -17,11 +17,6 @@ StreamingDetector::StreamingDetector(StreamingConfig config)
   r_buffer_.reserve(window_samples_);
 }
 
-void StreamingDetector::train_on_features(
-    const std::vector<FeatureVector>& features) {
-  detector_.attach_model(model::fit_lof_model(config_.detector, features));
-}
-
 void StreamingDetector::reset_window() {
   t_buffer_.clear();
   r_buffer_.clear();

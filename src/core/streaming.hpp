@@ -60,11 +60,6 @@ class StreamingDetector {
     return detector_.model();
   }
 
-  /// Training phase (delegates to the batch detector). Deprecated shim —
-  /// builds a private unregistered snapshot; prefer attach_model().
-  [[deprecated(
-      "use attach_model(model::fit_lof_model(config().detector, features))")]]
-  void train_on_features(const std::vector<FeatureVector>& features);
   [[nodiscard]] bool is_trained() const { return detector_.is_trained(); }
 
   /// Adjusts the decision threshold of this instance (threads through to

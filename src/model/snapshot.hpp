@@ -97,8 +97,7 @@ class LofModelSnapshot {
 };
 
 /// Convenience: fit an (unregistered) snapshot with a DetectorConfig's
-/// k/tau — the one-liner migrated call sites use in place of
-/// train_on_features().
+/// k/tau — the one-liner for attaching a private model without a registry.
 [[nodiscard]] std::shared_ptr<const LofModelSnapshot> fit_lof_model(
     const core::DetectorConfig& config,
     std::vector<core::FeatureVector> training);

@@ -339,16 +339,6 @@ std::string ScenarioReport::verdict_fingerprint() const {
 
 ScenarioReport run_scenario(const ScenarioSpec& spec,
                             const service::ServiceConfig& service_config,
-                            const core::StreamingDetector& prototype,
-                            common::ThreadPool* pool,
-                            obs::MetricsRegistry* registry) {
-  return run_scenario(spec, service_config, prototype.config(),
-                      std::make_shared<model::ModelRegistry>(prototype.model()),
-                      prototype.explanation_sink(), pool, registry);
-}
-
-ScenarioReport run_scenario(const ScenarioSpec& spec,
-                            const service::ServiceConfig& service_config,
                             const core::StreamingConfig& streaming,
                             std::shared_ptr<model::ModelRegistry> models,
                             obs::ExplanationSink* sink,

@@ -105,15 +105,4 @@ struct ScenarioReport {
     std::shared_ptr<model::ModelRegistry> models, obs::ExplanationSink* sink,
     common::ThreadPool* pool, obs::MetricsRegistry* registry);
 
-/// Deprecated shim, kept for one release: forwards the trained
-/// `prototype`'s streaming config, model handle and explanation sink to the
-/// snapshot-handle overload above.
-[[deprecated("pass a StreamingConfig + ModelRegistry of published "
-             "snapshots")]] [[nodiscard]]
-ScenarioReport run_scenario(const ScenarioSpec& spec,
-                            const service::ServiceConfig& service_config,
-                            const core::StreamingDetector& prototype,
-                            common::ThreadPool* pool,
-                            obs::MetricsRegistry* registry);
-
 }  // namespace lumichat::scenario

@@ -161,14 +161,6 @@ double LoadReport::accuracy() const {
 }
 
 LoadReport run_load(const LoadSpec& spec, const ServiceConfig& service_config,
-                    const core::StreamingDetector& prototype,
-                    common::ThreadPool* pool, obs::MetricsRegistry* registry) {
-  return run_load(spec, service_config, prototype.config(),
-                  std::make_shared<model::ModelRegistry>(prototype.model()),
-                  prototype.explanation_sink(), pool, registry);
-}
-
-LoadReport run_load(const LoadSpec& spec, const ServiceConfig& service_config,
                     const core::StreamingConfig& streaming,
                     std::shared_ptr<model::ModelRegistry> models,
                     obs::ExplanationSink* sink, common::ThreadPool* pool,

@@ -115,15 +115,4 @@ class ChatSource {
                                   common::ThreadPool* pool = nullptr,
                                   obs::MetricsRegistry* registry = nullptr);
 
-/// Deprecated shim, kept for one release: forwards the trained
-/// `prototype`'s config, model and explanation sink to the snapshot-handle
-/// overload above.
-[[deprecated("pass a StreamingConfig + ModelRegistry of published "
-             "snapshots")]] [[nodiscard]]
-LoadReport run_load(const LoadSpec& spec,
-                                  const ServiceConfig& service_config,
-                                  const core::StreamingDetector& prototype,
-                                  common::ThreadPool* pool = nullptr,
-                                  obs::MetricsRegistry* registry = nullptr);
-
 }  // namespace lumichat::service

@@ -39,13 +39,6 @@ SessionManager::SessionManager(ServiceConfig config,
   }
 }
 
-SessionManager::SessionManager(ServiceConfig config,
-                               core::StreamingDetector prototype)
-    : SessionManager(
-          config, prototype.config(),
-          std::make_shared<model::ModelRegistry>(prototype.model()),
-          prototype.explanation_sink()) {}
-
 core::StreamingDetector SessionManager::checkout_detector() {
   // Fetch the model first: one wait-free registry read per create, so a
   // concurrent publish() swaps the model for this session or the next one,

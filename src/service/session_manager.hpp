@@ -67,14 +67,6 @@ class SessionManager {
                  std::shared_ptr<model::ModelRegistry> models,
                  obs::ExplanationSink* sink = obs::default_explanation_sink());
 
-  /// Deprecated shim, kept for one release: wraps the trained `prototype`'s
-  /// model into a fresh single-version registry and forwards its streaming
-  /// config and explanation sink to the primary constructor.
-  [[deprecated(
-      "construct with a ModelRegistry of published snapshots; see "
-      "model::fit_lof_model")]]
-  SessionManager(ServiceConfig config, core::StreamingDetector prototype);
-
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 

@@ -11,8 +11,8 @@
 namespace lumichat::wire {
 
 WireClient::WireClient(int fd, std::size_t expected_events,
-                       obs::MetricsRegistry* registry, std::uint8_t version)
-    : fd_(fd), version_(version) {
+                       obs::MetricsRegistry* registry)
+    : fd_(fd) {
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
   acks_.reserve(expected_events);
@@ -50,7 +50,7 @@ void WireClient::hello(std::uint64_t token, std::uint32_t stream_id,
   msg.client_nonce = nonce;
   queue(kHeaderSize + kHelloPayloadSize,
         [&](std::uint8_t* buf, std::size_t cap) {
-          return encode_hello(buf, cap, token, stream_id, msg, version_);
+          return encode_hello(buf, cap, token, stream_id, msg);
         });
 }
 
@@ -60,11 +60,10 @@ void WireClient::send_frame(std::uint64_t token, std::uint32_t stream_id,
                             const image::Image& transmitted,
                             const image::Image& received,
                             std::uint64_t trace_id) {
-  queue(frame_wire_size(transmitted.width(), transmitted.height(), version_),
+  queue(frame_wire_size(transmitted.width(), transmitted.height()),
         [&](std::uint8_t* buf, std::size_t cap) {
           return encode_frame(buf, cap, token, stream_id, frame_seq,
-                              timestamp_us, transmitted, received, trace_id,
-                              version_);
+                              timestamp_us, transmitted, received, trace_id);
         });
 }
 
@@ -74,7 +73,7 @@ void WireClient::heartbeat(std::uint64_t token, std::uint32_t stream_id,
   msg.t_us = t_us;
   queue(kHeaderSize + kHeartbeatPayloadSize,
         [&](std::uint8_t* buf, std::size_t cap) {
-          return encode_heartbeat(buf, cap, token, stream_id, msg, version_);
+          return encode_heartbeat(buf, cap, token, stream_id, msg);
         });
 }
 
@@ -84,7 +83,6 @@ void WireClient::heartbeat_ping(std::uint64_t token, std::uint32_t stream_id) {
 
 void WireClient::request_stats(std::uint64_t token, std::uint32_t stream_id,
                                StatsFormat format) {
-  if (version_ < 2) return;  // stats messages do not exist in v1
   StatsRequestMsg msg;
   msg.format = static_cast<std::uint32_t>(format);
   queue(kHeaderSize + kStatsRequestPayloadSize,
@@ -99,7 +97,7 @@ void WireClient::bye(std::uint64_t token, std::uint32_t stream_id,
   msg.reason = static_cast<std::uint32_t>(reason);
   queue(kHeaderSize + kByePayloadSize,
         [&](std::uint8_t* buf, std::size_t cap) {
-          return encode_bye(buf, cap, token, stream_id, msg, version_);
+          return encode_bye(buf, cap, token, stream_id, msg);
         });
 }
 

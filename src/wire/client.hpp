@@ -15,7 +15,7 @@
 // events land in pre-reserved vectors drained by take_acks/take_verdicts.
 //
 // Telemetry: heartbeat_ping() stamps the client's own steady clock into
-// the heartbeat payload; a v2 server reflects it with kFlagEcho set, and
+// the heartbeat payload; the server reflects it with kFlagEcho set, and
 // poll() turns the reflection into a round-trip-time sample recorded into
 // the `wire.heartbeat_rtt` histogram of the registry given at construction.
 #pragma once
@@ -58,18 +58,13 @@ class WireClient {
   /// Takes ownership of a connected socket (switched to non-blocking).
   /// `expected_events` pre-reserves the event vectors so steady-state
   /// polling does not grow them. `registry` (borrowed, may be null)
-  /// receives the wire.heartbeat_rtt histogram. `version` is the protocol
-  /// version this client speaks — pass 1 to dial a server that predates
-  /// v2 (old servers reject headers carrying a version they don't know).
+  /// receives the wire.heartbeat_rtt histogram.
   explicit WireClient(int fd, std::size_t expected_events = 64,
-                      obs::MetricsRegistry* registry = nullptr,
-                      std::uint8_t version = kProtocolVersion);
+                      obs::MetricsRegistry* registry = nullptr);
   ~WireClient();
 
   WireClient(const WireClient&) = delete;
   WireClient& operator=(const WireClient&) = delete;
-
-  [[nodiscard]] std::uint8_t version() const { return version_; }
 
   // --- Buffered sends (call flush() to move them onto the wire) ----------
   // `token` is the stream's session token — the server's shard-routing key;
@@ -84,10 +79,10 @@ class WireClient {
   void heartbeat(std::uint64_t token, std::uint32_t stream_id,
                  std::uint64_t t_us);
   /// Heartbeat carrying the client's own steady-clock microseconds; when
-  /// the (v2) echo comes back flagged, poll() records the round-trip time.
+  /// the echo comes back flagged, poll() records the round-trip time.
   void heartbeat_ping(std::uint64_t token, std::uint32_t stream_id);
-  /// Asks the server for a stats snapshot (v2 only; a no-op on a v1
-  /// client). The reply arrives as a StatsEvent.
+  /// Asks the server for a stats snapshot. The reply arrives as a
+  /// StatsEvent.
   void request_stats(std::uint64_t token, std::uint32_t stream_id,
                      StatsFormat format = StatsFormat::kJson);
   void bye(std::uint64_t token, std::uint32_t stream_id,
@@ -130,7 +125,6 @@ class WireClient {
   [[nodiscard]] static std::uint64_t now_us();
 
   int fd_;
-  std::uint8_t version_;
   ByteBuffer out_;
   ByteBuffer in_;
   std::vector<AckEvent> acks_;

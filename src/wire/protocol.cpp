@@ -53,22 +53,14 @@ double get_f64(const std::uint8_t* p) {
   return v;
 }
 
-bool known_version(std::uint8_t v) {
-  return v >= kMinProtocolVersion && v <= kProtocolVersion;
+bool known_version(std::uint8_t v) { return v == kProtocolVersion; }
+
+bool known_type(std::uint8_t t) {
+  return t >= static_cast<std::uint8_t>(MsgType::kHello) &&
+         t <= static_cast<std::uint8_t>(MsgType::kStatsReply);
 }
 
-/// The type vocabulary grows with the version: stats messages exist only in
-/// version >= 2, so a v1 header announcing type 7 is malformed exactly as
-/// it was before v2 existed.
-bool known_type(std::uint8_t version, std::uint8_t t) {
-  const auto max_type = static_cast<std::uint8_t>(
-      version >= 2 ? MsgType::kStatsReply : MsgType::kBye);
-  return t >= static_cast<std::uint8_t>(MsgType::kHello) && t <= max_type;
-}
-
-/// v1 reserves the whole flag field; v2 defines kKnownFlags.
-bool known_flags(std::uint8_t version, std::uint16_t flags) {
-  if (version < 2) return flags == 0;
+bool known_flags(std::uint16_t flags) {
   return (flags & static_cast<std::uint16_t>(~kKnownFlags)) == 0;
 }
 
@@ -76,9 +68,9 @@ bool known_flags(std::uint8_t version, std::uint16_t flags) {
 /// in) for a message whose payload bytes sit at buf + kHeaderSize.
 void seal_header(std::uint8_t* buf, std::size_t payload_len, MsgType type,
                  std::uint64_t session_token, std::uint32_t stream_id,
-                 std::uint8_t version, std::uint16_t flags = 0) {
+                 std::uint16_t flags = 0) {
   put_u32(buf, static_cast<std::uint32_t>(payload_len));
-  buf[4] = version;
+  buf[4] = kProtocolVersion;
   buf[5] = static_cast<std::uint8_t>(type);
   put_u16(buf + 6, flags);
   put_u64(buf + 8, session_token);
@@ -102,9 +94,7 @@ DecodeStatus decode_message(const std::uint8_t* data, std::size_t len,
     // Validate whatever header prefix is present so a poisoned stream is
     // rejected at the earliest byte, not after buffering kMaxPayload.
     if (len >= 5 && !known_version(data[4])) return DecodeStatus::kMalformed;
-    if (len >= 6 && !known_type(data[4], data[5])) {
-      return DecodeStatus::kMalformed;
-    }
+    if (len >= 6 && !known_type(data[5])) return DecodeStatus::kMalformed;
     if (len >= 4 && get_u32(data) > kMaxPayload) return DecodeStatus::kMalformed;
     return DecodeStatus::kNeedMore;
   }
@@ -119,11 +109,9 @@ DecodeStatus decode_message(const std::uint8_t* data, std::size_t len,
   header.crc32 = get_u32(data + 20);
 
   if (!known_version(header.version)) return DecodeStatus::kMalformed;
-  if (!known_type(header.version, raw_type)) return DecodeStatus::kMalformed;
+  if (!known_type(raw_type)) return DecodeStatus::kMalformed;
   header.type = static_cast<MsgType>(raw_type);
-  if (!known_flags(header.version, header.flags)) {
-    return DecodeStatus::kMalformed;
-  }
+  if (!known_flags(header.flags)) return DecodeStatus::kMalformed;
   if (header.payload_len > kMaxPayload) return DecodeStatus::kMalformed;
 
   const std::size_t total = kHeaderSize + header.payload_len;
@@ -143,8 +131,7 @@ DecodeStatus decode_message(const std::uint8_t* data, std::size_t len,
 
 std::size_t encode_hello(std::uint8_t* buf, std::size_t cap,
                          std::uint64_t session_token, std::uint32_t stream_id,
-                         const HelloMsg& msg, std::uint8_t version) {
-  if (!known_version(version)) return 0;
+                         const HelloMsg& msg) {
   const std::size_t total = kHeaderSize + kHelloPayloadSize;
   if (cap < total) return 0;
   std::uint8_t* p = buf + kHeaderSize;
@@ -152,15 +139,13 @@ std::size_t encode_hello(std::uint8_t* buf, std::size_t cap,
   put_u32(p + 4, msg.frame_height);
   put_u64(p + 8, msg.client_nonce);
   seal_header(buf, kHelloPayloadSize, MsgType::kHello, session_token,
-              stream_id, version);
+              stream_id);
   return total;
 }
 
 std::size_t encode_hello_ack(std::uint8_t* buf, std::size_t cap,
                              std::uint64_t session_token,
-                             std::uint32_t stream_id, const HelloAckMsg& msg,
-                             std::uint8_t version) {
-  if (!known_version(version)) return 0;
+                             std::uint32_t stream_id, const HelloAckMsg& msg) {
   const std::size_t total = kHeaderSize + kHelloAckPayloadSize;
   if (cap < total) return 0;
   std::uint8_t* p = buf + kHeaderSize;
@@ -168,7 +153,7 @@ std::size_t encode_hello_ack(std::uint8_t* buf, std::size_t cap,
   put_u32(p + 8, msg.status);
   put_u32(p + 12, msg.shard);
   seal_header(buf, kHelloAckPayloadSize, MsgType::kHelloAck, session_token,
-              stream_id, version);
+              stream_id);
   return total;
 }
 
@@ -176,9 +161,8 @@ std::size_t encode_frame(std::uint8_t* buf, std::size_t cap,
                          std::uint64_t session_token, std::uint32_t stream_id,
                          std::uint32_t frame_seq, std::uint64_t timestamp_us,
                          const image::Image& transmitted,
-                         const image::Image& received, std::uint64_t trace_id,
-                         std::uint8_t version) {
-  if (!known_version(version)) return 0;
+                         const image::Image& received,
+                         std::uint64_t trace_id) {
   if (transmitted.width() != received.width() ||
       transmitted.height() != received.height() || transmitted.empty()) {
     return 0;
@@ -186,7 +170,7 @@ std::size_t encode_frame(std::uint8_t* buf, std::size_t cap,
   const std::size_t w = transmitted.width();
   const std::size_t h = transmitted.height();
   if (w > kMaxFrameEdge || h > kMaxFrameEdge) return 0;
-  const std::size_t payload = frame_payload_size(w, h, version);
+  const std::size_t payload = frame_payload_size(w, h);
   const std::size_t total = kHeaderSize + payload;
   if (cap < total) return 0;
 
@@ -196,23 +180,19 @@ std::size_t encode_frame(std::uint8_t* buf, std::size_t cap,
   put_u64(p + 8, timestamp_us);
   put_u32(p + 16, static_cast<std::uint32_t>(w));
   put_u32(p + 20, static_cast<std::uint32_t>(h));
-  if (version >= 2) put_u64(p + 24, trace_id);
-  const std::size_t fixed = frame_fixed_size(version);
+  put_u64(p + 24, trace_id);
+  std::uint8_t* planes = p + kFramePayloadFixedSizeV2;
   const std::size_t plane = w * h * sizeof(image::Pixel);
-  std::memcpy(p + fixed, transmitted.pixels().data(), plane);
-  std::memcpy(p + fixed + plane, received.pixels().data(), plane);
-  seal_header(buf, payload, MsgType::kFrame, session_token, stream_id,
-              version);
+  std::memcpy(planes, transmitted.pixels().data(), plane);
+  std::memcpy(planes + plane, received.pixels().data(), plane);
+  seal_header(buf, payload, MsgType::kFrame, session_token, stream_id);
   return total;
 }
 
 std::size_t encode_verdict(std::uint8_t* buf, std::size_t cap,
                            std::uint64_t session_token,
-                           std::uint32_t stream_id, const VerdictMsg& msg,
-                           std::uint8_t version) {
-  if (!known_version(version)) return 0;
-  const std::size_t payload = verdict_payload_size(version);
-  const std::size_t total = kHeaderSize + payload;
+                           std::uint32_t stream_id, const VerdictMsg& msg) {
+  const std::size_t total = kHeaderSize + kVerdictPayloadSizeV2;
   if (cap < total) return 0;
   std::uint8_t* p = buf + kHeaderSize;
   put_u32(p, msg.window_index);
@@ -221,35 +201,33 @@ std::size_t encode_verdict(std::uint8_t* buf, std::size_t cap,
   put_u16(p + 6, 0);
   put_f64(p + 8, msg.lof_score);
   put_f64(p + 16, msg.push_to_verdict_s);
-  if (version >= 2) put_u64(p + 24, msg.trace_id);
-  seal_header(buf, payload, MsgType::kVerdict, session_token, stream_id,
-              version);
+  put_u64(p + 24, msg.trace_id);
+  seal_header(buf, kVerdictPayloadSizeV2, MsgType::kVerdict, session_token,
+              stream_id);
   return total;
 }
 
 std::size_t encode_heartbeat(std::uint8_t* buf, std::size_t cap,
                              std::uint64_t session_token,
                              std::uint32_t stream_id, const HeartbeatMsg& msg,
-                             std::uint8_t version, std::uint16_t flags) {
-  if (!known_version(version) || !known_flags(version, flags)) return 0;
+                             std::uint16_t flags) {
+  if (!known_flags(flags)) return 0;
   const std::size_t total = kHeaderSize + kHeartbeatPayloadSize;
   if (cap < total) return 0;
   put_u64(buf + kHeaderSize, msg.t_us);
   seal_header(buf, kHeartbeatPayloadSize, MsgType::kHeartbeat, session_token,
-              stream_id, version, flags);
+              stream_id, flags);
   return total;
 }
 
 std::size_t encode_bye(std::uint8_t* buf, std::size_t cap,
                        std::uint64_t session_token, std::uint32_t stream_id,
-                       const ByeMsg& msg, std::uint8_t version) {
-  if (!known_version(version)) return 0;
+                       const ByeMsg& msg) {
   const std::size_t total = kHeaderSize + kByePayloadSize;
   if (cap < total) return 0;
   put_u32(buf + kHeaderSize, msg.reason);
   put_u32(buf + kHeaderSize + 4, 0);
-  seal_header(buf, kByePayloadSize, MsgType::kBye, session_token, stream_id,
-              version);
+  seal_header(buf, kByePayloadSize, MsgType::kBye, session_token, stream_id);
   return total;
 }
 
@@ -262,7 +240,7 @@ std::size_t encode_stats_request(std::uint8_t* buf, std::size_t cap,
   put_u32(buf + kHeaderSize, msg.format);
   put_u32(buf + kHeaderSize + 4, 0);
   seal_header(buf, kStatsRequestPayloadSize, MsgType::kStatsRequest,
-              session_token, stream_id, /*version=*/2);
+              session_token, stream_id);
   return total;
 }
 
@@ -280,8 +258,7 @@ std::size_t encode_stats_reply(std::uint8_t* buf, std::size_t cap,
   if (!text.empty()) {
     std::memcpy(p + kStatsReplyFixedSize, text.data(), text.size());
   }
-  seal_header(buf, payload, MsgType::kStatsReply, session_token, stream_id,
-              /*version=*/2);
+  seal_header(buf, payload, MsgType::kStatsReply, session_token, stream_id);
   return total;
 }
 
@@ -302,9 +279,8 @@ bool parse_hello_ack(const MessageView& view, HelloAckMsg* out) {
 }
 
 bool parse_frame(const MessageView& view, FrameMsg* out) {
-  const std::uint8_t version = view.header.version;
-  const std::size_t fixed = frame_fixed_size(version);
-  if (view.header.type != MsgType::kFrame || view.payload_len < fixed) {
+  if (view.header.type != MsgType::kFrame ||
+      view.payload_len < kFramePayloadFixedSizeV2) {
     return false;
   }
   out->frame_seq = get_u32(view.payload);
@@ -312,32 +288,29 @@ bool parse_frame(const MessageView& view, FrameMsg* out) {
   out->timestamp_us = get_u64(view.payload + 8);
   out->width = get_u32(view.payload + 16);
   out->height = get_u32(view.payload + 20);
-  out->trace_id = version >= 2 ? get_u64(view.payload + 24) : 0;
+  out->trace_id = get_u64(view.payload + 24);
   if (out->width == 0 || out->height == 0 || out->width > kMaxFrameEdge ||
       out->height > kMaxFrameEdge) {
     return false;
   }
   // The announced dimensions must account for the payload exactly — a
   // mismatch means a forged length field that a CRC alone cannot catch.
-  if (view.payload_len != frame_payload_size(out->width, out->height,
-                                             version)) {
+  if (view.payload_len != frame_payload_size(out->width, out->height)) {
     return false;
   }
-  out->pixels = view.payload + fixed;
+  out->pixels = view.payload + kFramePayloadFixedSizeV2;
   return true;
 }
 
 bool parse_verdict(const MessageView& view, VerdictMsg* out) {
-  const std::size_t payload = verdict_payload_size(view.header.version);
-  if (!expect(view, MsgType::kVerdict, payload)) return false;
+  if (!expect(view, MsgType::kVerdict, kVerdictPayloadSizeV2)) return false;
   out->window_index = get_u32(view.payload);
   out->verdict = view.payload[4];
   out->is_attacker = view.payload[5];
   out->reserved = get_u16(view.payload + 6);
   out->lof_score = get_f64(view.payload + 8);
   out->push_to_verdict_s = get_f64(view.payload + 16);
-  out->trace_id =
-      view.header.version >= 2 ? get_u64(view.payload + 24) : 0;
+  out->trace_id = get_u64(view.payload + 24);
   return true;
 }
 
@@ -355,8 +328,7 @@ bool parse_bye(const MessageView& view, ByeMsg* out) {
 }
 
 bool parse_stats_request(const MessageView& view, StatsRequestMsg* out) {
-  if (view.header.version < 2 ||
-      !expect(view, MsgType::kStatsRequest, kStatsRequestPayloadSize)) {
+  if (!expect(view, MsgType::kStatsRequest, kStatsRequestPayloadSize)) {
     return false;
   }
   out->format = get_u32(view.payload);
@@ -365,7 +337,7 @@ bool parse_stats_request(const MessageView& view, StatsRequestMsg* out) {
 }
 
 bool parse_stats_reply(const MessageView& view, StatsReplyMsg* out) {
-  if (view.header.version < 2 || view.header.type != MsgType::kStatsReply ||
+  if (view.header.type != MsgType::kStatsReply ||
       view.payload_len < kStatsReplyFixedSize) {
     return false;
   }

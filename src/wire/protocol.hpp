@@ -1,4 +1,4 @@
-// Compact binary frame/verdict wire protocol (versions 1 and 2).
+// Compact binary frame/verdict wire protocol (version 2).
 //
 // Every message is a fixed 24-byte header followed by a typed payload, all
 // little-endian (the only byte order the deployment targets — x86-64 and
@@ -6,9 +6,9 @@
 //
 //   offset  size  field
 //   0       4     payload_len   bytes following the header
-//   4       1     version       protocol version (1 or 2)
+//   4       1     version       protocol version (must be kProtocolVersion)
 //   5       1     type          MsgType
-//   6       2     flags         v1: must be zero; v2: kFlagEcho only
+//   6       2     flags         kFlagEcho only
 //   8       8     session_token caller identity / routing key
 //   16      4     stream_id     one connection multiplexes many streams
 //   20      4     crc32         CRC-32 over header bytes [0,20) + payload
@@ -23,23 +23,17 @@
 //   Verdict      server -> client   one completed detection window
 //   Heartbeat    both directions    liveness; server echoes the timestamp
 //   Bye          both directions    orderly stream / connection close
-//   StatsRequest client -> server   (v2) ask for a telemetry snapshot
-//   StatsReply   server -> client   (v2) JSON / Prometheus snapshot text
+//   StatsRequest client -> server   ask for a telemetry snapshot
+//   StatsReply   server -> client   JSON / Prometheus snapshot text
 //
-// Version negotiation rides on the header version byte: a client announces
-// the version it speaks in its Hello header, and the server answers the
-// HelloAck (and everything after it on that stream) in
-// min(client_version, kProtocolVersion). A v1 peer talking to this build
-// therefore keeps the exact v1 wire format — no trace ids, no flags, no
-// stats types — while v2 peers get per-frame trace context. The one
-// asymmetry: an old v1 *server* rejects v2 headers outright (its prefix
-// check predates v2), so a client dialing an old server must be configured
-// down to version 1 explicitly.
+// The version byte admits exactly one value: a header carrying any other
+// version is malformed from the 5-byte prefix, so a peer speaking another
+// version is refused before any payload is buffered.
 //
-// Version 2 additions:
+// Telemetry rides in the format itself:
 //   * Frame and Verdict payloads carry a 64-bit trace_id, propagated
 //     decode -> queue -> detector -> verdict so per-stage latency can be
-//     attributed to individual frames (the telemetry plane).
+//     attributed to individual frames.
 //   * Heartbeat echoes set kFlagEcho, letting the pinging side compute a
 //     round-trip time without ambiguity (and never re-echoing an echo).
 //   * StatsRequest/StatsReply expose a consistent MetricsRegistry snapshot
@@ -62,8 +56,6 @@
 namespace lumichat::wire {
 
 inline constexpr std::uint8_t kProtocolVersion = 2;
-/// Oldest version decode_message still accepts (and encoders can emit).
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 inline constexpr std::size_t kHeaderSize = 24;
 /// Upper bound on payload_len a peer may announce; anything larger is
 /// malformed (a 128x128 f64 frame pair is ~786 KiB, so 4 MiB leaves room
@@ -72,7 +64,7 @@ inline constexpr std::size_t kMaxPayload = 4u << 20;
 /// Largest frame edge the protocol accepts.
 inline constexpr std::uint32_t kMaxFrameEdge = 512;
 
-/// Header flag bits (version 2 headers only; v1 headers must be zero).
+/// Header flag bits.
 /// kFlagEcho marks a Heartbeat as the echo of an earlier ping: the receiver
 /// records the round trip and must NOT echo it again (no ping-pong loops).
 inline constexpr std::uint16_t kFlagEcho = 0x1;
@@ -85,8 +77,8 @@ enum class MsgType : std::uint8_t {
   kVerdict = 4,
   kHeartbeat = 5,
   kBye = 6,
-  kStatsRequest = 7,  ///< version >= 2 only
-  kStatsReply = 8,    ///< version >= 2 only
+  kStatsRequest = 7,
+  kStatsReply = 8,
 };
 
 struct MessageHeader {
@@ -148,36 +140,29 @@ struct HelloAckMsg {
 inline constexpr std::size_t kHelloAckPayloadSize = 16;
 
 /// Fixed part of a Frame payload; `pixels` points at the raw f64 planes
-/// (transmitted then received, each width*height R,G,B triplets). v2
-/// payloads carry a trace_id between the dimensions and the planes; v1
-/// frames decode with trace_id == 0.
+/// (transmitted then received, each width*height R,G,B triplets). The
+/// trace_id sits between the dimensions and the planes.
 struct FrameMsg {
   std::uint32_t frame_seq = 0;
   std::uint32_t reserved = 0;
   std::uint64_t timestamp_us = 0;
   std::uint32_t width = 0;
   std::uint32_t height = 0;
-  std::uint64_t trace_id = 0;  ///< v2 only; 0 on v1 frames
+  std::uint64_t trace_id = 0;
   const std::uint8_t* pixels = nullptr;
 };
-inline constexpr std::size_t kFramePayloadFixedSize = 24;    // v1
-inline constexpr std::size_t kFramePayloadFixedSizeV2 = 32;  // + trace_id
+/// Fixed (pre-pixel) payload bytes of a Frame.
+inline constexpr std::size_t kFramePayloadFixedSizeV2 = 32;
 
-/// Fixed (pre-pixel) payload bytes of a Frame at `version`.
-[[nodiscard]] constexpr std::size_t frame_fixed_size(std::uint8_t version) {
-  return version >= 2 ? kFramePayloadFixedSizeV2 : kFramePayloadFixedSize;
-}
 /// Payload bytes of a Frame message carrying a w x h pair.
-[[nodiscard]] constexpr std::size_t frame_payload_size(
-    std::size_t width, std::size_t height,
-    std::uint8_t version = kProtocolVersion) {
-  return frame_fixed_size(version) + 2 * width * height * 3 * sizeof(double);
+[[nodiscard]] constexpr std::size_t frame_payload_size(std::size_t width,
+                                                       std::size_t height) {
+  return kFramePayloadFixedSizeV2 + 2 * width * height * 3 * sizeof(double);
 }
 /// Full wire size of a Frame message carrying a w x h pair.
-[[nodiscard]] constexpr std::size_t frame_wire_size(
-    std::size_t width, std::size_t height,
-    std::uint8_t version = kProtocolVersion) {
-  return kHeaderSize + frame_payload_size(width, height, version);
+[[nodiscard]] constexpr std::size_t frame_wire_size(std::size_t width,
+                                                    std::size_t height) {
+  return kHeaderSize + frame_payload_size(width, height);
 }
 
 struct VerdictMsg {
@@ -187,15 +172,9 @@ struct VerdictMsg {
   std::uint16_t reserved = 0;
   double lof_score = 0.0;
   double push_to_verdict_s = 0.0;
-  std::uint64_t trace_id = 0;  ///< v2: trace of the window-completing frame
+  std::uint64_t trace_id = 0;  ///< trace of the window-completing frame
 };
-inline constexpr std::size_t kVerdictPayloadSize = 24;    // v1
-inline constexpr std::size_t kVerdictPayloadSizeV2 = 32;  // + trace_id
-
-[[nodiscard]] constexpr std::size_t verdict_payload_size(
-    std::uint8_t version = kProtocolVersion) {
-  return version >= 2 ? kVerdictPayloadSizeV2 : kVerdictPayloadSize;
-}
+inline constexpr std::size_t kVerdictPayloadSizeV2 = 32;
 
 struct HeartbeatMsg {
   std::uint64_t t_us = 0;
@@ -238,21 +217,17 @@ inline constexpr std::size_t kStatsReplyFixedSize = 8;
 
 // --- Encoders ------------------------------------------------------------
 // Each writes one complete message into buf[0..cap) and returns its wire
-// size, or 0 when cap is too small (or the requested version cannot carry
-// the message). No encoder allocates. `version` selects the emitted wire
-// format; out-of-range versions encode nothing.
+// size, or 0 when cap is too small. No encoder allocates.
 
 [[nodiscard]] std::size_t encode_hello(std::uint8_t* buf, std::size_t cap,
                                        std::uint64_t session_token,
                                        std::uint32_t stream_id,
-                                       const HelloMsg& msg,
-                                       std::uint8_t version = kProtocolVersion);
-[[nodiscard]] std::size_t encode_hello_ack(
-    std::uint8_t* buf, std::size_t cap, std::uint64_t session_token,
-    std::uint32_t stream_id, const HelloAckMsg& msg,
-    std::uint8_t version = kProtocolVersion);
-/// Encodes the frame pair from two equally sized images. `trace_id` rides
-/// in v2 payloads and is silently dropped when encoding v1.
+                                       const HelloMsg& msg);
+[[nodiscard]] std::size_t encode_hello_ack(std::uint8_t* buf, std::size_t cap,
+                                           std::uint64_t session_token,
+                                           std::uint32_t stream_id,
+                                           const HelloAckMsg& msg);
+/// Encodes the frame pair from two equally sized images.
 [[nodiscard]] std::size_t encode_frame(std::uint8_t* buf, std::size_t cap,
                                        std::uint64_t session_token,
                                        std::uint32_t stream_id,
@@ -260,23 +235,21 @@ inline constexpr std::size_t kStatsReplyFixedSize = 8;
                                        std::uint64_t timestamp_us,
                                        const image::Image& transmitted,
                                        const image::Image& received,
-                                       std::uint64_t trace_id = 0,
-                                       std::uint8_t version = kProtocolVersion);
-[[nodiscard]] std::size_t encode_verdict(
-    std::uint8_t* buf, std::size_t cap, std::uint64_t session_token,
-    std::uint32_t stream_id, const VerdictMsg& msg,
-    std::uint8_t version = kProtocolVersion);
-/// `flags` may carry kFlagEcho on version >= 2 (nonzero flags on a v1
-/// heartbeat encode nothing — v1 has no flag vocabulary).
-[[nodiscard]] std::size_t encode_heartbeat(
-    std::uint8_t* buf, std::size_t cap, std::uint64_t session_token,
-    std::uint32_t stream_id, const HeartbeatMsg& msg,
-    std::uint8_t version = kProtocolVersion, std::uint16_t flags = 0);
+                                       std::uint64_t trace_id = 0);
+[[nodiscard]] std::size_t encode_verdict(std::uint8_t* buf, std::size_t cap,
+                                         std::uint64_t session_token,
+                                         std::uint32_t stream_id,
+                                         const VerdictMsg& msg);
+/// `flags` may carry kFlagEcho; unknown flag bits encode nothing.
+[[nodiscard]] std::size_t encode_heartbeat(std::uint8_t* buf, std::size_t cap,
+                                           std::uint64_t session_token,
+                                           std::uint32_t stream_id,
+                                           const HeartbeatMsg& msg,
+                                           std::uint16_t flags = 0);
 [[nodiscard]] std::size_t encode_bye(std::uint8_t* buf, std::size_t cap,
                                      std::uint64_t session_token,
-                                     std::uint32_t stream_id, const ByeMsg& msg,
-                                     std::uint8_t version = kProtocolVersion);
-/// Stats messages exist only in version >= 2.
+                                     std::uint32_t stream_id,
+                                     const ByeMsg& msg);
 [[nodiscard]] std::size_t encode_stats_request(std::uint8_t* buf,
                                                std::size_t cap,
                                                std::uint64_t session_token,
@@ -295,8 +268,7 @@ inline constexpr std::size_t kStatsReplyFixedSize = 8;
 }
 
 // --- Typed payload parsers -----------------------------------------------
-// Each validates the view's type and exact payload size (version-dispatched
-// where the formats differ); false = malformed.
+// Each validates the view's type and exact payload size; false = malformed.
 
 [[nodiscard]] bool parse_hello(const MessageView& view, HelloMsg* out);
 [[nodiscard]] bool parse_hello_ack(const MessageView& view, HelloAckMsg* out);

@@ -219,19 +219,15 @@ void WireServer::on_heartbeat(Connection& conn, const MessageView& msg) {
     return;
   }
   // An already-echoed heartbeat (kFlagEcho set) terminates here — echoing
-  // it back again would ping-pong forever between two v2 peers.
+  // it back again would ping-pong forever between two peers.
   if ((msg.header.flags & kFlagEcho) != 0) return;
-  // Echo in the sender's version; v2 peers get the echo flag so the client
-  // can tell its own reflected timestamp from a peer's ping and compute the
-  // round-trip time (wire.heartbeat_rtt).
-  const std::uint16_t flags = msg.header.version >= 2 ? kFlagEcho
-                                                      : std::uint16_t{0};
+  // The echo flag lets the client tell its own reflected timestamp from a
+  // peer's ping and compute the round-trip time (wire.heartbeat_rtt).
   const std::size_t total = kHeaderSize + kHeartbeatPayloadSize;
   conn.out.ensure_writable(total);
   conn.out.commit(encode_heartbeat(conn.out.write_ptr(), total,
                                    msg.header.session_token,
-                                   msg.header.stream_id, hb,
-                                   msg.header.version, flags));
+                                   msg.header.stream_id, hb, kFlagEcho));
 }
 
 void WireServer::on_stats_request(Connection& conn, const MessageView& msg) {
@@ -289,11 +285,6 @@ void WireServer::on_hello(Connection& conn, const MessageView& msg) {
   HelloAckMsg ack;
   const std::size_t shard = ring_.shard_for(msg.header.session_token);
   ack.shard = static_cast<std::uint32_t>(shard);
-  // Version negotiation rides on the Hello/HelloAck header version byte:
-  // the ack answers in min(client, ours), and the stream speaks that
-  // version from then on (v1 peers get 24-byte verdicts with no trace id).
-  const std::uint8_t negotiated =
-      std::min(msg.header.version, kProtocolVersion);
   if (conn.streams.count(msg.header.stream_id) != 0) {
     ack.status = static_cast<std::uint32_t>(HelloStatus::kDuplicateStream);
   } else if (hello.frame_width == 0 || hello.frame_height == 0 ||
@@ -308,7 +299,6 @@ void WireServer::on_hello(Connection& conn, const MessageView& msg) {
     stream.token = msg.header.session_token;
     stream.width = hello.frame_width;
     stream.height = hello.frame_height;
-    stream.version = negotiated;
     conn.streams.emplace(msg.header.stream_id, stream);
     ++n_streams_;
   } else {
@@ -320,7 +310,7 @@ void WireServer::on_hello(Connection& conn, const MessageView& msg) {
   conn.out.ensure_writable(total);
   conn.out.commit(encode_hello_ack(conn.out.write_ptr(), total,
                                    msg.header.session_token,
-                                   msg.header.stream_id, ack, negotiated));
+                                   msg.header.stream_id, ack));
 }
 
 bool WireServer::on_frame(Connection& conn, const MessageView& msg) {
@@ -416,12 +406,10 @@ void WireServer::flush_verdicts(Connection& conn) {
         out.lof_score = w.lof_score;
         out.push_to_verdict_s = w.push_to_verdict_s;
         out.trace_id = w.trace_id;
-        const std::size_t total =
-            kHeaderSize + verdict_payload_size(stream.version);
+        const std::size_t total = kHeaderSize + kVerdictPayloadSizeV2;
         conn.out.ensure_writable(total);
         conn.out.commit(encode_verdict(conn.out.write_ptr(), total,
-                                       stream.token, it->first, out,
-                                       stream.version));
+                                       stream.token, it->first, out));
         if (push_to_verdict_ != nullptr) {
           push_to_verdict_->record(w.push_to_verdict_s);
         }
@@ -444,7 +432,7 @@ void WireServer::flush_verdicts(Connection& conn) {
       ByeMsg bye;
       bye.reason = static_cast<std::uint32_t>(ByeReason::kNormal);
       conn.out.commit(encode_bye(conn.out.write_ptr(), total, stream.token,
-                                 it->first, bye, stream.version));
+                                 it->first, bye));
       it = conn.streams.erase(it);
       --n_streams_;
     } else {

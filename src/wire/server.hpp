@@ -122,9 +122,6 @@ class WireServer {
     std::uint32_t height = 0;
     std::size_t verdicts_sent = 0;  ///< flush watermark
     std::uint64_t frames = 0;
-    /// Negotiated protocol version: min(client's Hello version, ours).
-    /// Verdicts and the Bye for this stream are encoded in it.
-    std::uint8_t version = kProtocolVersion;
     /// Bye received: fully flush remaining verdicts, then evict.
     bool closing = false;
   };

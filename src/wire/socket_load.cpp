@@ -152,8 +152,7 @@ service::LoadReport run_socket_load(const service::LoadSpec& spec,
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0 || !server.adopt(sv[0])) {
       return report;  // out of fds — nothing sensible to report
     }
-    clients.push_back(std::make_unique<WireClient>(
-        sv[1], 1024, registry, options.protocol_version));
+    clients.push_back(std::make_unique<WireClient>(sv[1], 1024, registry));
   }
   for (Chat& chat : chats) chat.conn = chat.ordinal % n_conns;
 

@@ -29,7 +29,6 @@
 #include "obs/metrics.hpp"
 #include "service/load_generator.hpp"
 #include "wire/event_loop.hpp"
-#include "wire/protocol.hpp"
 
 namespace lumichat::wire {
 
@@ -37,9 +36,6 @@ struct SocketLoadOptions {
   /// Socketpair connections the sessions are multiplexed over.
   std::size_t n_connections = 8;
   Backend backend = EventLoop::default_backend();
-  /// Protocol version the clients speak (1 exercises the v1 interop path;
-  /// verdict sequences are identical either way — v1 just drops trace ids).
-  std::uint8_t protocol_version = kProtocolVersion;
   /// When non-empty, the server additionally listens on this Unix-domain
   /// socket so an external monitor (lumichat_stat) can poll a live run.
   std::string listen_path;

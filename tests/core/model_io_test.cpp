@@ -76,11 +76,13 @@ TEST(ModelIo, MissingFileThrows) {
 
 TEST(ModelIo, RebuiltDetectorScoresIdentically) {
   const ModelState state = sample_state();
-  Detector direct = make_detector_from_model(state);
+  Detector direct;
+  direct.attach_model(snapshot_from_model(state));
 
   std::stringstream ss;
   save_model(state, ss);
-  Detector reloaded = make_detector_from_model(load_model(ss));
+  Detector reloaded;
+  reloaded.attach_model(snapshot_from_model(load_model(ss)));
 
   common::Rng rng(9);
   for (int i = 0; i < 20; ++i) {
@@ -171,20 +173,6 @@ TEST(ModelIo, V2RejectsMissingVersionLine) {
       "k 5\n"
       "tau 3\n");
   EXPECT_THROW((void)load_model(ss), std::runtime_error);
-}
-
-TEST(ModelIo, DeprecatedDetectorShimMatchesSnapshotPath) {
-  const ModelState state = sample_state(12);
-  Detector via_shim = make_detector_from_model(state);
-  Detector via_snapshot;
-  via_snapshot.attach_model(snapshot_from_model(state));
-  common::Rng rng(21);
-  for (int i = 0; i < 20; ++i) {
-    const FeatureVector probe{rng.uniform(), rng.uniform(),
-                              rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0)};
-    EXPECT_EQ(via_shim.classify(probe).lof_score,
-              via_snapshot.classify(probe).lof_score);
-  }
 }
 
 }  // namespace

@@ -48,8 +48,8 @@ inline std::shared_ptr<model::ModelRegistry> trained_registry(
   return registry;
 }
 
-/// Trained StreamingDetector with `window_s` windows — kept for suites that
-/// exercise the deprecated prototype-based entry points.
+/// Trained StreamingDetector with `window_s` windows, for suites that build
+/// a ServiceSession directly rather than through a SessionManager.
 inline core::StreamingDetector trained_prototype(double window_s = 2.0,
                                                  std::uint64_t seed = 7) {
   const core::StreamingConfig cfg = test_streaming_config(window_s);

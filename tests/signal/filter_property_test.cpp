@@ -1,5 +1,5 @@
 // Property sweep over the filtering kernels the parallel engine multiplies:
-// fir / iir / savitzky_golay / resample. For random inputs drawn from a
+// fir / savitzky_golay / resample. For random inputs drawn from a
 // fixed-seed common::Rng, each kernel must satisfy the algebra a linear
 // filter owes its callers — linearity, unit DC gain (the preprocessing
 // chain's absolute thresholds depend on it), and shift/time invariance away
@@ -12,7 +12,6 @@
 
 #include "common/rng.hpp"
 #include "signal/fir.hpp"
-#include "signal/iir.hpp"
 #include "signal/resample.hpp"
 #include "signal/savitzky_golay.hpp"
 #include "signal/types.hpp"
@@ -90,57 +89,6 @@ INSTANTIATE_TEST_SUITE_P(
                       FirParam{1.0, 10.0, 11},   //
                       FirParam{0.8, 8.0, 21},    //
                       FirParam{1.5, 12.0, 31}));
-
-// ---------------------------------------------------------------- IIR ----
-
-class IirProperties : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(IirProperties, UnitDcGainInSteadyState) {
-  IirFilter f = butterworth_lowpass(1.0, 10.0, GetParam());
-  const Signal c(400, 87.0);
-  const Signal y = f.apply(c);
-  // The step transient decays; the tail must settle on the input level.
-  EXPECT_NEAR(y.back(), 87.0, 1e-8);
-}
-
-TEST_P(IirProperties, Linearity) {
-  IirFilter f = butterworth_lowpass(1.0, 10.0, GetParam());
-  common::Rng rng(31337);
-  const Signal x = random_signal(150, rng);
-  const Signal y = random_signal(150, rng);
-  const double a = -1.25;
-  const double b = 3.0;
-  Signal combo(x.size(), 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) combo[i] = a * x[i] + b * y[i];
-
-  const Signal fx = f.apply(x);  // apply() resets state per call
-  const Signal fy = f.apply(y);
-  const Signal fc = f.apply(combo);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(fc[i], a * fx[i] + b * fy[i], 1e-9) << "i=" << i;
-  }
-}
-
-TEST_P(IirProperties, TimeInvarianceForZeroPaddedDelay) {
-  IirFilter f = butterworth_lowpass(1.0, 10.0, GetParam());
-  common::Rng rng(55);
-  const std::size_t n = 100;
-  const std::size_t delay = 13;
-  const Signal x = random_signal(n, rng);
-  Signal padded(n + delay, 0.0);
-  for (std::size_t i = 0; i < n; ++i) padded[i + delay] = x[i];
-
-  const Signal yx = f.apply(x);
-  const Signal yp = f.apply(padded);
-  // Zero state + zero prefix: the recursion is sample-for-sample the same.
-  for (std::size_t i = 0; i < delay; ++i) EXPECT_EQ(yp[i], 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(yp[i + delay], yx[i], 1e-12) << "i=" << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(SectionCounts, IirProperties,
-                         ::testing::Values<std::size_t>(1, 2, 3));
 
 // ------------------------------------------------------ Savitzky-Golay ----
 

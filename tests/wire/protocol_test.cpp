@@ -269,9 +269,14 @@ TEST(WireProtocolCorpus, BadVersionTypeOrFlagsRejected) {
   const auto prefix_end =
       buf.begin() + static_cast<std::ptrdiff_t>(n);
   std::vector<std::uint8_t> tampered(buf.begin(), prefix_end);
-  tampered[4] = kProtocolVersion + 1;  // version
-  EXPECT_EQ(decode_message(tampered.data(), 5, &view),
-            DecodeStatus::kMalformed);
+  // Only kProtocolVersion is spoken: the next version and the retired
+  // versions 1 and 0 are all rejected from the 5-byte prefix.
+  for (const int version : {kProtocolVersion + 1, 1, 0}) {
+    SCOPED_TRACE(version);
+    tampered[4] = static_cast<std::uint8_t>(version);
+    EXPECT_EQ(decode_message(tampered.data(), 5, &view),
+              DecodeStatus::kMalformed);
+  }
 
   tampered.assign(buf.begin(), prefix_end);
   tampered[5] = 99;  // unknown type, caught from the 6-byte prefix on
@@ -330,9 +335,9 @@ TEST(WireProtocolCorpus, RandomGarbageNeverDecodesOk) {
   }
 }
 
-// --- Version 1 interop and version 2 additions ----------------------------
+// --- Trace ids, flags and stats messages ---------------------------------
 
-TEST(WireProtocolV2, FrameTraceIdRoundTrips) {
+TEST(WireProtocol, FrameTraceIdRoundTrips) {
   common::Rng rng(31);
   const image::Image img = random_image(6, 5, rng);
   std::vector<std::uint8_t> buf(frame_wire_size(6, 5));
@@ -348,7 +353,7 @@ TEST(WireProtocolV2, FrameTraceIdRoundTrips) {
   EXPECT_EQ(frame.trace_id, trace);
 }
 
-TEST(WireProtocolV2, VerdictTraceIdRoundTrips) {
+TEST(WireProtocol, VerdictTraceIdRoundTrips) {
   std::vector<std::uint8_t> buf(256);
   VerdictMsg in;
   in.window_index = 7;
@@ -362,57 +367,10 @@ TEST(WireProtocolV2, VerdictTraceIdRoundTrips) {
   EXPECT_EQ(out.trace_id, in.trace_id);
 }
 
-TEST(WireProtocolV1, MessagesKeepLegacyLayoutAndDropTraceIds) {
-  common::Rng rng(32);
-  const image::Image img = random_image(4, 4, rng);
-  std::vector<std::uint8_t> buf(frame_wire_size(4, 4, 2));
-
-  // A v1 frame is 8 bytes shorter (no trace_id) and decodes trace_id == 0
-  // even when the encoder was handed one.
-  const std::size_t n = encode_frame(buf.data(), buf.size(), 1, 1, 0, 0, img,
-                                     img, /*trace_id=*/55, /*version=*/1);
-  ASSERT_EQ(n, frame_wire_size(4, 4, 1));
-  EXPECT_EQ(n + 8, frame_wire_size(4, 4, 2));
-  MessageView view;
-  ASSERT_EQ(decode_message(buf.data(), n, &view), DecodeStatus::kOk);
-  EXPECT_EQ(view.header.version, 1);
-  FrameMsg frame;
-  ASSERT_TRUE(parse_frame(view, &frame));
-  EXPECT_EQ(frame.trace_id, 0u);
-
-  VerdictMsg v;
-  v.trace_id = 99;
-  const std::size_t vn =
-      encode_verdict(buf.data(), buf.size(), 1, 1, v, /*version=*/1);
-  ASSERT_EQ(vn, kHeaderSize + kVerdictPayloadSize);
-  ASSERT_EQ(decode_message(buf.data(), vn, &view), DecodeStatus::kOk);
-  VerdictMsg out;
-  ASSERT_TRUE(parse_verdict(view, &out));
-  EXPECT_EQ(out.trace_id, 0u);
-}
-
-TEST(WireProtocolV1, FlagsAndStatsTypesDoNotExist) {
-  std::vector<std::uint8_t> buf(256);
-  // v1 has no flag vocabulary: a flagged v1 heartbeat cannot be encoded.
-  EXPECT_EQ(encode_heartbeat(buf.data(), buf.size(), 1, 1, HeartbeatMsg{},
-                             /*version=*/1, kFlagEcho),
-            0u);
-  // Stats messages are v2-only at the encoder...
-  const std::size_t n = encode_stats_request(buf.data(), buf.size(), 1, 1,
-                                             StatsRequestMsg{});
-  ASSERT_GT(n, 0u);
-  // ...and a type-7 message under a v1 header is rejected from the prefix:
-  // re-stamp version 1 and watch the 6-byte prefix check fire before CRC.
-  buf[4] = 1;
-  MessageView view;
-  EXPECT_EQ(decode_message(buf.data(), 6, &view), DecodeStatus::kMalformed);
-}
-
-TEST(WireProtocolV2, UnknownFlagBitsAreMalformed) {
+TEST(WireProtocol, UnknownFlagBitsAreMalformed) {
   std::vector<std::uint8_t> buf(256);
   const std::size_t n =
-      encode_heartbeat(buf.data(), buf.size(), 1, 1, HeartbeatMsg{},
-                       kProtocolVersion, kFlagEcho);
+      encode_heartbeat(buf.data(), buf.size(), 1, 1, HeartbeatMsg{}, kFlagEcho);
   ASSERT_GT(n, 0u);
   MessageView view;
   ASSERT_EQ(decode_message(buf.data(), n, &view), DecodeStatus::kOk);
@@ -424,7 +382,7 @@ TEST(WireProtocolV2, UnknownFlagBitsAreMalformed) {
             DecodeStatus::kMalformed);
 }
 
-TEST(WireProtocolV2, StatsReplyTextRoundTripsAndTruncationRejected) {
+TEST(WireProtocol, StatsReplyTextRoundTripsAndTruncationRejected) {
   const std::string text = "{\"counters\":{\"wire.frames_in\":42}}";
   std::vector<std::uint8_t> buf(stats_reply_wire_size(text.size()));
   const std::size_t n = encode_stats_reply(buf.data(), buf.size(), 3, 1,
@@ -445,7 +403,7 @@ TEST(WireProtocolV2, StatsReplyTextRoundTripsAndTruncationRejected) {
   }
 }
 
-TEST(WireProtocolV2, EmptyStatsReplyIsValid) {
+TEST(WireProtocol, EmptyStatsReplyIsValid) {
   std::vector<std::uint8_t> buf(stats_reply_wire_size(0));
   const std::size_t n = encode_stats_reply(buf.data(), buf.size(), 1, 1,
                                            StatsFormat::kJson, {});
@@ -455,26 +413,6 @@ TEST(WireProtocolV2, EmptyStatsReplyIsValid) {
   StatsReplyMsg reply;
   ASSERT_TRUE(parse_stats_reply(view, &reply));
   EXPECT_EQ(reply.text_len, 0u);
-}
-
-TEST(WireProtocolV1, RoundTripsStillDecode) {
-  common::Rng rng(33);
-  std::vector<std::uint8_t> buf(256);
-  const std::size_t hn = encode_hello(buf.data(), buf.size(), 5, 9, HelloMsg{},
-                                      /*version=*/1);
-  ASSERT_GT(hn, 0u);
-  MessageView view;
-  ASSERT_EQ(decode_message(buf.data(), hn, &view), DecodeStatus::kOk);
-  EXPECT_EQ(view.header.version, 1);
-  EXPECT_EQ(view.header.flags, 0);
-
-  // Out-of-range versions encode nothing at all.
-  EXPECT_EQ(encode_hello(buf.data(), buf.size(), 5, 9, HelloMsg{},
-                         /*version=*/0),
-            0u);
-  EXPECT_EQ(encode_hello(buf.data(), buf.size(), 5, 9, HelloMsg{},
-                         static_cast<std::uint8_t>(kProtocolVersion + 1)),
-            0u);
 }
 
 /// A fixed, non-random 96x72 frame plane (the paper-protocol frame size).
@@ -492,40 +430,32 @@ image::Image fixed_plane(std::size_t salt) {
 }
 
 TEST(WireProtocolCrc, FixedFrameChecksumIsPinned) {
-  // The CRC of one fixed full-size Frame, in both wire versions, pinned to
-  // the value the byte-at-a-time table loop of earlier builds computed:
-  // whichever kernel table seals and checks it, the wire bytes (and v1/v2
-  // interop) are the ones older builds emit and accept.
+  // The CRC of one fixed full-size Frame, pinned to the value the
+  // byte-at-a-time table loop of earlier builds computed: whichever kernel
+  // table seals and checks it, the wire bytes are the ones older builds
+  // emit and accept.
+  constexpr std::uint32_t kPinnedCrc = 0x7CAC350Cu;
   const image::Image tx = fixed_plane(0);
   const image::Image rx = fixed_plane(101);
-  const struct {
-    std::uint8_t version;
-    std::uint32_t crc;
-  } pins[] = {{2, 0x7CAC350Cu}, {1, 0x176C99DFu}};
-  for (const auto& pin : pins) {
-    SCOPED_TRACE(static_cast<int>(pin.version));
-    std::vector<std::uint8_t> buf(frame_wire_size(96, 72, pin.version));
-    ASSERT_EQ(encode_frame(buf.data(), buf.size(), 0x0123456789abcdefull, 7,
-                           42, 1000000, tx, rx, 0x9e3779b97f4a7c15ull,
-                           pin.version),
-              buf.size());
-    std::uint32_t sealed = 0;
-    std::memcpy(&sealed, buf.data() + 20, sizeof(sealed));
-    EXPECT_EQ(sealed, pin.crc);
-    const std::uint32_t reference = crc32_final(simd::testref::crc32_bitwise(
-        simd::testref::crc32_bitwise(kCrc32Init, buf.data(), 20),
-        buf.data() + kHeaderSize, buf.size() - kHeaderSize));
-    EXPECT_EQ(reference, pin.crc);
+  std::vector<std::uint8_t> buf(frame_wire_size(96, 72));
+  ASSERT_EQ(encode_frame(buf.data(), buf.size(), 0x0123456789abcdefull, 7, 42,
+                         1000000, tx, rx, 0x9e3779b97f4a7c15ull),
+            buf.size());
+  std::uint32_t sealed = 0;
+  std::memcpy(&sealed, buf.data() + 20, sizeof(sealed));
+  EXPECT_EQ(sealed, kPinnedCrc);
+  const std::uint32_t reference = crc32_final(simd::testref::crc32_bitwise(
+      simd::testref::crc32_bitwise(kCrc32Init, buf.data(), 20),
+      buf.data() + kHeaderSize, buf.size() - kHeaderSize));
+  EXPECT_EQ(reference, kPinnedCrc);
 
-    MessageView view;
-    ASSERT_EQ(decode_message(buf.data(), buf.size(), &view),
-              DecodeStatus::kOk);
-    EXPECT_EQ(view.header.version, pin.version);
-    // One corrupted pixel byte is still caught by the checksum.
-    buf[buf.size() / 2] ^= 0x10;
-    EXPECT_EQ(decode_message(buf.data(), buf.size(), &view),
-              DecodeStatus::kMalformed);
-  }
+  MessageView view;
+  ASSERT_EQ(decode_message(buf.data(), buf.size(), &view), DecodeStatus::kOk);
+  EXPECT_EQ(view.header.version, kProtocolVersion);
+  // One corrupted pixel byte is still caught by the checksum.
+  buf[buf.size() / 2] ^= 0x10;
+  EXPECT_EQ(decode_message(buf.data(), buf.size(), &view),
+            DecodeStatus::kMalformed);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "service/session_manager.hpp"
 #include "wire/client.hpp"
+#include "wire/crc32.hpp"
 #include "wire/server.hpp"
 
 #include "../service/service_test_util.hpp"
@@ -232,6 +234,33 @@ TEST(WireServerClient, MalformedBytesCloseConnectionWithByeAndCounter) {
   ASSERT_EQ(rig.client->take_byes(&bye, 1), 1u);
   EXPECT_EQ(bye.bye.reason,
             static_cast<std::uint32_t>(ByeReason::kProtocolError));
+
+  // A well-sealed Hello stamped with the retired version 1 (CRC re-sealed,
+  // so only the version byte is wrong) gets the same treatment.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_TRUE(rig.server.adopt(sv[0]));
+  WireClient old_peer(sv[1]);
+  std::uint8_t hello[kHeaderSize + kHelloPayloadSize];
+  ASSERT_EQ(encode_hello(hello, sizeof(hello), 5, 1, HelloMsg{8, 8, 0}),
+            sizeof(hello));
+  hello[4] = 1;
+  const std::uint32_t crc = crc32_final(
+      crc32_update(crc32_update(kCrc32Init, hello, 20), hello + kHeaderSize,
+                   kHelloPayloadSize));
+  std::memcpy(hello + 20, &crc, sizeof(crc));
+  ASSERT_EQ(::send(old_peer.fd(), hello, sizeof(hello), 0),
+            static_cast<ssize_t>(sizeof(hello)));
+  for (int i = 0; i < 6; ++i) {
+    (void)rig.server.poll(0);
+    old_peer.poll();
+  }
+  EXPECT_EQ(rig.registry.counter("wire.malformed").value(), 2u);
+  EXPECT_EQ(rig.server.connection_count(), 0u);
+  EXPECT_EQ(rig.manager.active_sessions(), 0u);
+  ASSERT_EQ(old_peer.take_byes(&bye, 1), 1u);
+  EXPECT_EQ(bye.bye.reason,
+            static_cast<std::uint32_t>(ByeReason::kProtocolError));
 }
 
 TEST(WireServerClient, PeerHangupEvictsSessions) {
@@ -336,51 +365,6 @@ TEST(WireServerClient, HeartbeatPingRecordsRoundTripTime) {
   EXPECT_EQ(pinger.heartbeats_echoed(), 1u);
   EXPECT_GT(pinger.last_heartbeat_rtt_s(), 0.0);
   EXPECT_EQ(rig.registry.histogram("wire.heartbeat_rtt").count(), 1u);
-}
-
-TEST(WireServerClient, V1ClientInteroperates) {
-  Rig rig;
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  ASSERT_TRUE(rig.server.adopt(sv[0]));
-  WireClient v1(sv[1], 64, nullptr, /*version=*/1);
-  auto converse = [&] {
-    for (int i = 0; i < 8; ++i) {
-      v1.flush();
-      (void)rig.server.poll(0);
-      v1.poll();
-    }
-  };
-
-  v1.hello(3, 1, 8, 8);
-  converse();
-  AckEvent ack;
-  ASSERT_EQ(v1.take_acks(&ack, 1), 1u);
-  EXPECT_EQ(ack.ack.status, static_cast<std::uint32_t>(HelloStatus::kAccepted));
-
-  // Frames cross in the v1 layout and verdicts come back v1 (24-byte
-  // payload, no trace ids) — the negotiated version sticks to the stream.
-  const image::Image tx(8, 8, image::Pixel{120.0, 120.0, 120.0});
-  const image::Image rx(8, 8, image::Pixel{90.0, 90.0, 90.0});
-  for (std::uint32_t k = 0; k < 20; ++k) {
-    v1.send_frame(3, 1, k, static_cast<std::uint64_t>(k) * 100000, tx, rx,
-                  /*trace_id=*/k + 1);  // silently dropped by the v1 encoder
-  }
-  converse();
-  VerdictEvent verdict;
-  ASSERT_EQ(v1.take_verdicts(&verdict, 1), 1u);
-  EXPECT_EQ(verdict.verdict.trace_id, 0u);
-
-  // v1 heartbeats echo unflagged: no RTT is ever recorded.
-  v1.heartbeat_ping(3, 1);
-  converse();
-  EXPECT_EQ(v1.heartbeats_echoed(), 1u);
-  EXPECT_EQ(v1.last_heartbeat_rtt_s(), 0.0);
-  // And request_stats is a client-side no-op below v2.
-  v1.request_stats(3, 1);
-  converse();
-  EXPECT_TRUE(v1.take_stats().empty());
-  EXPECT_FALSE(v1.failed());
 }
 
 TEST(WireServerClient, SteadyStateFramesNeverTouchRegistryMutex) {
