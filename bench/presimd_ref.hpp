@@ -6,7 +6,7 @@
 //
 //  * reductions (sum / pearson / ROI luminance) accumulated into single
 //    serial chains — latency-bound, with no instruction-level parallelism;
-//  * the KD-tree leaf scan called euclidean() — including its sqrt — for
+//  * the LOF k-NN scan called euclidean() — including its sqrt — for
 //    every candidate, one at a time, interleaved with heap maintenance;
 //  * the wire CRC-32 ran one byte at a time through a 256-entry table.
 //
@@ -43,7 +43,7 @@ double presimd_luminance_row(const double* rgb, std::size_t npix, double lr,
                              double lg, double lb);
 
 /// Per-candidate euclidean distance (including the sqrt) against an
-/// array-of-structs point set — the original KD-tree leaf scan's distance
+/// array-of-structs point set — the original LOF k-NN scan's distance
 /// computation. `aos` holds n points of 4 contiguous doubles each.
 void presimd_euclidean_batch(const double* aos, std::size_t n,
                              const double q[4], double* out);

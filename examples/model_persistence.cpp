@@ -2,9 +2,9 @@
 // pool of legitimate clips), publish it through a ModelRegistry, persist the
 // versioned snapshot, and load it on any device — the "quickly launched on
 // new devices" story of the paper, made concrete. The on-disk format is
-// `lumichat-lof v2`: it carries the registry version id and the KD-tree
-// index parameters, so a device rebuilds exactly the model the vendor
-// published.
+// `lumichat-lof v3`: it carries the registry version id, k, tau and the
+// training vectors at full precision, so a device refits exactly the model
+// the vendor published.
 //
 //   $ ./model_persistence /tmp/lumichat_model.txt
 #include <cstdio>
@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
   core::Detector detector(profile.detector_config());
   detector.attach_model(snapshot);
   std::printf("[device] ready (v%llu, k=%zu tau=%.2f, %zu training "
-              "vectors, kd-tree leaf %zu)\n",
+              "vectors)\n",
               static_cast<unsigned long long>(snapshot->version()), state.k,
-              state.tau, state.training.size(), state.index_leaf_size);
+              state.tau, state.training.size());
 
   const auto legit_result =
       detector.detect(data.legit_trace(people[2], 300));

@@ -7,7 +7,7 @@
 // away from the legitimate cluster, yielding LOF >> 1, and are flagged when
 // the score exceeds the decision threshold tau (default 3, Fig. 12).
 //
-// The fitted state (training set + KD-tree index + per-point densities)
+// The fitted state (training set + per-point k-distances and densities)
 // lives in an immutable model::LofModelSnapshot shared across every scorer
 // that attaches it — a classifier is just a handle plus a locally tunable
 // tau. fit() remains as a convenience that builds a private, unregistered

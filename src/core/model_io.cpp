@@ -8,8 +8,7 @@ namespace lumichat::core {
 
 namespace {
 constexpr const char* kMagic = "lumichat-lof";
-constexpr const char* kVersionV1 = "v1";
-constexpr const char* kVersionV2 = "v2";
+constexpr const char* kVersion = "v3";
 
 void expect_tag(const char* want, const char* what, bool ok) {
   if (!ok) {
@@ -18,9 +17,11 @@ void expect_tag(const char* want, const char* what, bool ok) {
   }
 }
 
+/// Reads `n` vectors. `n` comes from the file, so nothing is sized from it
+/// up front: a hostile count fails as a truncated file, not in the
+/// allocator.
 std::vector<FeatureVector> load_vectors(std::istream& in, std::size_t n) {
   std::vector<FeatureVector> training;
-  training.reserve(n);
   std::string tag;
   for (std::size_t i = 0; i < n; ++i) {
     FeatureVector f;
@@ -36,12 +37,11 @@ std::vector<FeatureVector> load_vectors(std::istream& in, std::size_t n) {
 }  // namespace
 
 void save_model(const ModelState& state, std::ostream& out) {
-  out << kMagic << " " << kVersionV2 << "\n";
+  out << kMagic << " " << kVersion << "\n";
   out << "version " << state.version << "\n";
   out << "k " << state.k << "\n";
   out.precision(17);  // round-trip exact doubles
   out << "tau " << state.tau << "\n";
-  out << "index kdtree " << state.index_leaf_size << "\n";
   out << "n " << state.training.size() << "\n";
   for (const FeatureVector& f : state.training) {
     out << "z " << f.z1 << " " << f.z2 << " " << f.z3 << " " << f.z4 << "\n";
@@ -61,27 +61,19 @@ ModelState load_model(std::istream& in) {
   if (!(in >> magic >> version) || magic != kMagic) {
     throw std::runtime_error("load_model: not a lumichat model");
   }
-  if (version != kVersionV1 && version != kVersionV2) {
+  if (version != kVersion) {
     throw std::runtime_error("load_model: unsupported version " + version);
   }
 
   ModelState state;
   std::string tag;
-  if (version == kVersionV2) {
-    expect_tag("version", "model version id",
-               static_cast<bool>(in >> tag >> state.version) &&
-                   tag == "version");
-  }
+  expect_tag("version", "model version id",
+             static_cast<bool>(in >> tag >> state.version) &&
+                 tag == "version");
   expect_tag("k", "k",
              static_cast<bool>(in >> tag >> state.k) && tag == "k");
   expect_tag("tau", "tau",
              static_cast<bool>(in >> tag >> state.tau) && tag == "tau");
-  if (version == kVersionV2) {
-    std::string kind;
-    expect_tag("index", "index parameters",
-               static_cast<bool>(in >> tag >> kind >> state.index_leaf_size) &&
-                   tag == "index" && kind == "kdtree");
-  }
   std::size_t n = 0;
   expect_tag("n", "vector count",
              static_cast<bool>(in >> tag >> n) && tag == "n");
@@ -98,7 +90,7 @@ ModelState load_model(const std::string& path) {
 std::shared_ptr<const model::LofModelSnapshot> snapshot_from_model(
     const ModelState& state) {
   return model::LofModelSnapshot::fit(state.training, state.k, state.tau,
-                                      state.version, state.index_leaf_size);
+                                      state.version);
 }
 
 ModelState model_state_of(const model::LofModelSnapshot& snapshot) {
@@ -106,7 +98,6 @@ ModelState model_state_of(const model::LofModelSnapshot& snapshot) {
   state.k = snapshot.k();
   state.tau = snapshot.tau();
   state.version = snapshot.version();
-  state.index_leaf_size = snapshot.index_leaf_size();
   state.training = snapshot.training();
   return state;
 }

@@ -6,19 +6,16 @@
 // plus a few scalars), so a versioned, human-readable text format is the
 // robust choice: diffable, greppable, no endianness traps.
 //
-// v2 format (one item per line) — carries the registry version id and the
-// KD-tree index parameters, so a reloaded snapshot rebuilds the identical
-// index and stays attributable to the publish that produced it:
-//   lumichat-lof v2
+// v3 format (one item per line) — carries the registry version id, so a
+// reloaded snapshot stays attributable to the publish that produced it:
+//   lumichat-lof v3
 //   version <model version id>
 //   k <neighbors>
 //   tau <threshold>
-//   index kdtree <leaf size>
 //   n <vector count>
 //   z <z1> <z2> <z3> <z4>     (n times)
 //
-// v1 files (no version/index lines) still load: they become version 0 with
-// the default index parameters. save_model always writes v2.
+// Any other version tag (v1, v2 included) is rejected.
 #pragma once
 
 #include <cstdint>
@@ -38,18 +35,17 @@ struct ModelState {
   std::size_t k = 5;
   double tau = 3.0;
   std::uint64_t version = 0;  ///< registry version id (0 = unregistered)
-  std::size_t index_leaf_size = model::kDefaultIndexLeafSize;
   std::vector<FeatureVector> training;
 };
 
-/// Writes `state` to a stream (v2). \throws std::runtime_error on I/O
+/// Writes `state` to a stream. \throws std::runtime_error on I/O
 /// failure.
 void save_model(const ModelState& state, std::ostream& out);
-/// Writes `state` to a file (v2). \throws std::runtime_error on I/O failure.
+/// Writes `state` to a file. \throws std::runtime_error on I/O failure.
 void save_model(const ModelState& state, const std::string& path);
 
-/// Parses a model (v1 or v2). \throws std::runtime_error on malformed
-/// input or unsupported version.
+/// Parses a model. \throws std::runtime_error on malformed input,
+/// a truncated vector list or an unsupported version.
 [[nodiscard]] ModelState load_model(std::istream& in);
 [[nodiscard]] ModelState load_model(const std::string& path);
 

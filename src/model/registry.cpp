@@ -8,14 +8,13 @@ ModelRegistry::ModelRegistry(
 }
 
 std::shared_ptr<const LofModelSnapshot> ModelRegistry::publish(
-    std::vector<core::FeatureVector> training, std::size_t k, double tau,
-    std::size_t index_leaf_size) {
+    std::vector<core::FeatureVector> training, std::size_t k, double tau) {
   const std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t version = last_version_ + 1;
   // Fitting happens outside any reader-visible state; readers keep scoring
   // on the old snapshot until the single store below.
-  std::shared_ptr<const LofModelSnapshot> snap = LofModelSnapshot::fit(
-      std::move(training), k, tau, version, index_leaf_size);
+  std::shared_ptr<const LofModelSnapshot> snap =
+      LofModelSnapshot::fit(std::move(training), k, tau, version);
   last_version_ = version;
   current_.store(snap, std::memory_order_release);
   publish_count_.fetch_add(1, std::memory_order_relaxed);
@@ -31,33 +30,6 @@ std::shared_ptr<const LofModelSnapshot> ModelRegistry::install(
   publish_count_.fetch_add(1, std::memory_order_relaxed);
   notify_swap(snapshot->version());
   return snapshot;
-}
-
-void ModelRegistry::absorb(const core::FeatureVector& legitimate_round) {
-  const std::lock_guard<std::mutex> lock(absorb_mu_);
-  absorbed_.push_back(legitimate_round);
-}
-
-std::size_t ModelRegistry::absorbed() const {
-  const std::lock_guard<std::mutex> lock(absorb_mu_);
-  return absorbed_.size();
-}
-
-std::shared_ptr<const LofModelSnapshot> ModelRegistry::retrain() {
-  const std::shared_ptr<const LofModelSnapshot> base = current();
-  if (base == nullptr) return nullptr;
-
-  std::vector<core::FeatureVector> fresh;
-  {
-    const std::lock_guard<std::mutex> lock(absorb_mu_);
-    fresh.swap(absorbed_);
-  }
-  if (fresh.empty()) return nullptr;
-
-  std::vector<core::FeatureVector> training = base->training();
-  training.insert(training.end(), fresh.begin(), fresh.end());
-  return publish(std::move(training), base->k(), base->tau(),
-                 base->index_leaf_size());
 }
 
 }  // namespace lumichat::model

@@ -11,13 +11,6 @@
 // the last reader drops it. Versions are assigned monotonically at publish
 // time, so explanation records and saved models can always be tied to the
 // exact model that produced them.
-//
-// The registry also carries the background-retraining loop's input:
-// absorb() accumulates feature vectors of rounds that were verified
-// legitimate, and retrain() folds them into the current training set and
-// publishes the result as a new version (Face Flashing / Aurora Guard-style
-// deployments refresh models against evolving attackers without
-// interrupting live sessions).
 #pragma once
 
 #include <atomic>
@@ -35,7 +28,7 @@ class ModelRegistry {
   ModelRegistry() = default;
 
   /// Starts with `initial` as the current model (e.g. a snapshot loaded
-  /// from a v2 model file, or one detached from a trained prototype).
+  /// from a model file, or one detached from a trained prototype).
   /// Accepts null (registry starts empty).
   explicit ModelRegistry(std::shared_ptr<const LofModelSnapshot> initial);
 
@@ -45,8 +38,7 @@ class ModelRegistry {
   /// Fits a snapshot on `training` and atomically makes it current, with
   /// the next monotone version id. Returns the published snapshot.
   std::shared_ptr<const LofModelSnapshot> publish(
-      std::vector<core::FeatureVector> training, std::size_t k, double tau,
-      std::size_t index_leaf_size = kDefaultIndexLeafSize);
+      std::vector<core::FeatureVector> training, std::size_t k, double tau);
 
   /// Atomically makes an already-fitted snapshot current (keeps its version
   /// id; the monotone counter skips past it so later publishes stay above).
@@ -70,21 +62,6 @@ class ModelRegistry {
   [[nodiscard]] std::uint64_t publish_count() const {
     return publish_count_.load(std::memory_order_relaxed);
   }
-
-  // --- Background-retraining accumulation ------------------------------
-
-  /// Records the feature vector of a round verified legitimate, as future
-  /// training data. Thread-safe; never touches the current model.
-  void absorb(const core::FeatureVector& legitimate_round);
-
-  /// Number of absorbed, not-yet-retrained vectors.
-  [[nodiscard]] std::size_t absorbed() const;
-
-  /// Fits current-training + absorbed vectors (draining the buffer) and
-  /// publishes the result as the next version. k/tau/leaf size carry over
-  /// from the current model. Returns the new snapshot, or null when the
-  /// registry is empty or nothing was absorbed (no version is spent).
-  std::shared_ptr<const LofModelSnapshot> retrain();
 
   // --- Swap observation -------------------------------------------------
 
@@ -113,11 +90,8 @@ class ModelRegistry {
   std::atomic<std::shared_ptr<const LofModelSnapshot>> current_{nullptr};
   std::atomic<std::uint64_t> publish_count_{0};
 
-  mutable std::mutex mu_;  ///< serialises writers (publish/install/retrain)
+  std::mutex mu_;  ///< serialises writers (publish/install)
   std::uint64_t last_version_ = 0;
-
-  mutable std::mutex absorb_mu_;
-  std::vector<core::FeatureVector> absorbed_;
 };
 
 }  // namespace lumichat::model

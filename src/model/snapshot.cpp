@@ -1,22 +1,49 @@
 #include "model/snapshot.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
+
+#include "simd/dispatch.hpp"
 
 namespace lumichat::model {
 namespace {
 
 constexpr double kMinDensityDistance = 1e-9;  // duplicate-point guard
 
+/// Sentinel for knn(): exclude no training point.
+constexpr std::size_t kNoExclusion = static_cast<std::size_t>(-1);
+
+/// Stack-buffer size for batched distance evaluation. Queries run
+/// concurrently against a shared read-only snapshot, so scratch must live
+/// on the stack, not in the object.
+constexpr std::size_t kDistChunk = 64;
+
+/// Bounded best-k candidate set kept as a max-heap on (d², index): the root
+/// is the current worst, so a new candidate either displaces it or is
+/// discarded. Selecting the k lexicographically-smallest pairs this way
+/// yields exactly the set a full sort would — (d², index) is a total order
+/// because indices are unique.
+void consider(std::vector<Neighbor>& heap, std::size_t k, Neighbor cand) {
+  if (heap.size() < k) {
+    heap.push_back(cand);
+    std::push_heap(heap.begin(), heap.end());
+  } else if (cand < heap.front()) {
+    std::pop_heap(heap.begin(), heap.end());
+    heap.back() = cand;
+    std::push_heap(heap.begin(), heap.end());
+  }
+}
+
 }  // namespace
 
 std::shared_ptr<const LofModelSnapshot> LofModelSnapshot::fit(
     std::vector<core::FeatureVector> training, std::size_t k, double tau,
-    std::uint64_t version, std::size_t index_leaf_size) {
+    std::uint64_t version) {
   if (k == 0) {
     throw std::invalid_argument("LofModelSnapshot::fit: k must be >= 1");
   }
-  if (training.size() < k + 1) {
+  if (training.size() <= k) {  // not k + 1: k may come from a file
     throw std::invalid_argument(
         "LofModelSnapshot::fit: need at least k+1 training vectors");
   }
@@ -28,12 +55,11 @@ std::shared_ptr<const LofModelSnapshot> LofModelSnapshot::fit(
   snap->training_ = std::move(training);
 
   const std::size_t n = snap->training_.size();
-  std::vector<Point4> pts;
-  pts.reserve(n);
+  for (std::size_t a = 0; a < 4; ++a) snap->soa_[a].reserve(n);
   for (const core::FeatureVector& f : snap->training_) {
-    pts.push_back(f.as_array());
+    const Point4 p = f.as_array();
+    for (std::size_t a = 0; a < 4; ++a) snap->soa_[a].push_back(p[a]);
   }
-  snap->index_ = KdTree4(std::move(pts), index_leaf_size);
 
   // k-distance of every training point (distance to its k-th nearest other
   // training point), then its LRD. The second pass needs every point's
@@ -45,7 +71,7 @@ std::shared_ptr<const LofModelSnapshot> LofModelSnapshot::fit(
   std::vector<std::size_t> neigh_count(n, 0);
   std::vector<Neighbor> scratch;
   for (std::size_t i = 0; i < n; ++i) {
-    snap->index_.knn(snap->index_.point(i), k, i, scratch);
+    snap->knn(snap->training_[i].as_array(), i, scratch);
     neigh_count[i] = scratch.size();
     for (std::size_t j = 0; j < scratch.size(); ++j) {
       neigh_dist[i * k + j] = scratch[j].first;
@@ -62,6 +88,28 @@ std::shared_ptr<const LofModelSnapshot> LofModelSnapshot::fit(
     snap->lrd_[i] = snap->lrd_of(scratch);
   }
   return snap;
+}
+
+void LofModelSnapshot::knn(const Point4& q, std::size_t exclude,
+                           std::vector<Neighbor>& out) const {
+  out.clear();
+  const std::size_t n = training_.size();
+  const simd::Kernels& kern = simd::active();
+  double d2[kDistChunk];
+  for (std::size_t pos = 0; pos < n; pos += kDistChunk) {
+    const std::size_t len = std::min(kDistChunk, n - pos);
+    kern.squared_dist4_batch(soa_[0].data() + pos, soa_[1].data() + pos,
+                             soa_[2].data() + pos, soa_[3].data() + pos, len,
+                             q.data(), d2);
+    for (std::size_t i = 0; i < len; ++i) {
+      if (pos + i == exclude) continue;
+      consider(out, k_, {d2[i], pos + i});
+    }
+  }
+  // Sort on d² — sqrt is monotone, so the order matches — and report
+  // sqrt(d²), which is bit-identical to euclidean().
+  std::sort(out.begin(), out.end());
+  for (Neighbor& nb : out) nb.first = std::sqrt(nb.first);
 }
 
 double LofModelSnapshot::lrd_of(const std::vector<Neighbor>& neigh) const {
@@ -86,13 +134,7 @@ double LofModelSnapshot::score_of(const std::vector<Neighbor>& neigh) const {
 
 double LofModelSnapshot::score(const core::FeatureVector& z) const {
   std::vector<Neighbor> neigh;
-  index_.knn(z.as_array(), k_, KdTree4::kNoExclusion, neigh);
-  return score_of(neigh);
-}
-
-double LofModelSnapshot::score_brute(const core::FeatureVector& z) const {
-  std::vector<Neighbor> neigh;
-  index_.knn_brute(z.as_array(), k_, KdTree4::kNoExclusion, neigh);
+  knn(z.as_array(), kNoExclusion, neigh);
   return score_of(neigh);
 }
 

@@ -133,7 +133,7 @@ class SessionManager {
   /// much partial-window evidence was discarded. std::nullopt if unknown.
   std::optional<ServiceSession::CloseReport> evict(SessionId id);
 
-  /// The shared model registry; publish()/retrain() on it to hot-swap the
+  /// The shared model registry; publish() or install() on it to hot-swap the
   /// model for subsequently created sessions with zero session stall.
   [[nodiscard]] const std::shared_ptr<model::ModelRegistry>& models() const {
     return models_;

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -54,9 +55,24 @@ TEST(ModelIo, RejectsWrongMagic) {
   EXPECT_THROW((void)load_model(ss), std::runtime_error);
 }
 
+// v1 (no version line) and v2 (with a KD-tree `index` line) are retired
+// formats; they fail through the same error as any unknown version.
 TEST(ModelIo, RejectsUnsupportedVersion) {
-  std::stringstream ss("lumichat-lof v99\nk 5\n");
-  EXPECT_THROW((void)load_model(ss), std::runtime_error);
+  for (const char* text : {
+           "lumichat-lof v99\nk 5\n",
+           "lumichat-lof v1\nk 3\ntau 2.5\nn 1\nz 0.9 0.8 0.7 0.2\n",
+           "lumichat-lof v2\nversion 1\nk 3\ntau 2.5\n"
+           "n 1\nz 0.9 0.8 0.7 0.2\n"}) {
+    std::stringstream ss(text);
+    try {
+      (void)load_model(ss);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ModelIo, RejectsTruncatedFile) {
@@ -67,6 +83,23 @@ TEST(ModelIo, RejectsTruncatedFile) {
   text.resize(text.size() / 2);  // chop mid-vector
   std::stringstream cut(text);
   EXPECT_THROW((void)load_model(cut), std::runtime_error);
+
+  // A hostile vector count over a short file is a truncation too, not an
+  // allocation failure.
+  for (const char* n : {"1000000000000", "18446744073709551615"}) {
+    std::stringstream hostile(std::string("lumichat-lof v3\nversion 1\n"
+                                          "k 5\ntau 3\nn ") +
+                              n + "\nz 0.9 0.8 0.7 0.2\n");
+    try {
+      (void)load_model(hostile);
+      ADD_FAILURE() << "accepted n " << n;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("truncated at vector "
+                                                       "1 of ") + n),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ModelIo, MissingFileThrows) {
@@ -103,48 +136,23 @@ TEST(ModelIo, ModelStateOfCapturesConfig) {
   EXPECT_EQ(s.training.size(), 10u);
 }
 
-// A v1 file written before the index/version era (no `version`, no `index`
-// lines) must still load: version 0, default KD-tree leaf size.
-TEST(ModelIo, LoadsLegacyV1Fixture) {
-  std::stringstream v1(
-      "lumichat-lof v1\n"
-      "k 3\n"
-      "tau 2.5\n"
-      "n 4\n"
-      "z 0.9 0.8 0.7 0.2\n"
-      "z 0.91 0.82 0.71 0.22\n"
-      "z 0.88 0.79 0.69 0.19\n"
-      "z 0.92 0.81 0.72 0.21\n");
-  const ModelState state = load_model(v1);
-  EXPECT_EQ(state.k, 3u);
-  EXPECT_DOUBLE_EQ(state.tau, 2.5);
-  EXPECT_EQ(state.version, 0u);
-  EXPECT_EQ(state.index_leaf_size, model::kDefaultIndexLeafSize);
-  ASSERT_EQ(state.training.size(), 4u);
-  EXPECT_DOUBLE_EQ(state.training[0].z1, 0.9);
-  EXPECT_DOUBLE_EQ(state.training[3].z4, 0.21);
-  EXPECT_NO_THROW((void)snapshot_from_model(state));
-}
-
-TEST(ModelIo, SaveWritesV2WithVersionAndIndex) {
+TEST(ModelIo, SaveWritesV3WithVersion) {
   ModelState state = sample_state(6);
   state.version = 12;
-  state.index_leaf_size = 4;
   std::stringstream ss;
   save_model(state, ss);
   const std::string text = ss.str();
-  EXPECT_EQ(text.rfind("lumichat-lof v2\n", 0), 0u);
-  EXPECT_NE(text.find("version 12\n"), std::string::npos);
-  EXPECT_NE(text.find("index kdtree 4\n"), std::string::npos);
+  EXPECT_EQ(text.rfind("lumichat-lof v3\nversion 12\nk 5\ntau 2.75\nn 6\nz ",
+                       0),
+            0u);
 
   const ModelState back = load_model(ss);
   EXPECT_EQ(back.version, 12u);
-  EXPECT_EQ(back.index_leaf_size, 4u);
   EXPECT_EQ(back.k, state.k);
   EXPECT_EQ(back.tau, state.tau);  // bit-exact: saved at precision 17
 }
 
-TEST(ModelIo, V2RoundTripRebuildsBitIdenticalSnapshot) {
+TEST(ModelIo, RoundTripRebuildsBitIdenticalSnapshot) {
   ModelState state = sample_state(24);
   state.version = 3;
   state.tau = 2.718281828459045;
@@ -157,7 +165,6 @@ TEST(ModelIo, V2RoundTripRebuildsBitIdenticalSnapshot) {
   EXPECT_EQ(reloaded->version(), direct->version());
   EXPECT_EQ(reloaded->k(), direct->k());
   EXPECT_EQ(reloaded->tau(), direct->tau());
-  EXPECT_EQ(reloaded->index_leaf_size(), direct->index_leaf_size());
   ASSERT_EQ(reloaded->size(), direct->size());
   common::Rng rng(17);
   for (int i = 0; i < 50; ++i) {
@@ -167,9 +174,9 @@ TEST(ModelIo, V2RoundTripRebuildsBitIdenticalSnapshot) {
   }
 }
 
-TEST(ModelIo, V2RejectsMissingVersionLine) {
+TEST(ModelIo, RejectsMissingVersionLine) {
   std::stringstream ss(
-      "lumichat-lof v2\n"
+      "lumichat-lof v3\n"
       "k 5\n"
       "tau 3\n");
   EXPECT_THROW((void)load_model(ss), std::runtime_error);

@@ -82,26 +82,6 @@ TEST(Registry, OldHandleSurvivesPublish) {
   EXPECT_NE(registry.current().get(), old_handle.get());
 }
 
-TEST(Registry, AbsorbAndRetrainFoldInLegitimateRounds) {
-  ModelRegistry registry;
-  EXPECT_EQ(registry.retrain(), nullptr);  // empty registry: no-op
-
-  registry.publish(cloud(10, 11), 5, 3.0);
-  EXPECT_EQ(registry.retrain(), nullptr);  // nothing absorbed: no-op
-  EXPECT_EQ(registry.version(), 1u);
-
-  const auto rounds = cloud(4, 12);
-  for (const auto& r : rounds) registry.absorb(r);
-  EXPECT_EQ(registry.absorbed(), 4u);
-
-  const auto retrained = registry.retrain();
-  ASSERT_NE(retrained, nullptr);
-  EXPECT_EQ(retrained->version(), 2u);
-  EXPECT_EQ(retrained->size(), 14u);  // base 10 + 4 absorbed
-  EXPECT_EQ(registry.absorbed(), 0u);  // buffer drained
-  EXPECT_EQ(registry.current().get(), retrained.get());
-}
-
 // The RCU contract: readers scoring against a handle they fetched before a
 // hot-swap keep getting bit-stable answers from that snapshot while writers
 // publish new versions underneath them. Run under TSan in CI.
@@ -139,10 +119,6 @@ TEST(Registry, ReadersSurviveConcurrentHotSwap) {
   std::thread writer([&registry, &stop] {
     for (std::size_t i = 0; i < 50; ++i) {
       registry.publish(cloud(24 + (i % 8), 400 + i), 5, 3.0);
-      if (i % 3 == 0) {
-        registry.absorb(cloud(1, 500 + i)[0]);
-        registry.retrain();
-      }
     }
     stop.store(true, std::memory_order_relaxed);
   });

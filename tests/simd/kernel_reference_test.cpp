@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "model/kdtree.hpp"
+#include "model/snapshot.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
 
