@@ -37,8 +37,6 @@
 #include "model/snapshot.hpp"
 #include "simd/dispatch.hpp"
 
-#include "presimd_ref.hpp"
-
 namespace {
 
 using namespace lumichat;
@@ -210,16 +208,10 @@ BENCHMARK(BM_DetectFull15sClipTraced)->Unit(benchmark::kMillisecond);
 
 /// One benchmarkable kernel invocation: writes its full output (reductions
 /// write one element) into `out` so the equality gate can compare tables.
-/// `presimd`, when set, is the pre-SIMD implementation this PR replaced
-/// (sequential single-accumulator reductions; per-candidate euclidean()
-/// including its sqrt for LOF distances) — the honest "before" of the
-/// before/after numbers. It is timed but excluded from the bit-equality
-/// gate: its summation order (and the sqrt) intentionally differ.
 struct SimdWorkload {
   const char* name;
   std::size_t out_len;
   std::function<void(const simd::Kernels&, double* out)> run;
-  std::function<void(double* out)> presimd;
 };
 
 struct SimdData {
@@ -228,7 +220,6 @@ struct SimdData {
   std::vector<double> taps;
   std::vector<double> rgb;
   std::vector<double> soa[4];
-  std::vector<double> aos;  // same points as soa, AoS layout for presimd
   double q[4];
   // One full-size wire Frame message: 24-byte header + two 96x72 f64 RGB
   // planes + fixed fields, the span the server checksums per frame.
@@ -273,10 +264,6 @@ struct SimdData {
       axis.resize(npts);
       for (double& v : axis) v = next();
     }
-    aos.resize(npts * 4);
-    for (std::size_t i = 0; i < npts; ++i) {
-      for (std::size_t a = 0; a < 4; ++a) aos[4 * i + a] = soa[a][i];
-    }
     for (double& v : q) v = next();
     frame_msg.resize(331832);
     for (auto& b : frame_msg) b = static_cast<std::uint8_t>(256.0 * next());
@@ -296,9 +283,6 @@ std::vector<SimdWorkload> simd_workloads() {
       {"sum", 1,
        [&d, n](const simd::Kernels& k, double* out) {
          out[0] = k.sum(d.sig_a.data(), n);
-       },
-       [&d, n](double* out) {
-         out[0] = lumichat::bench::presimd_sum(d.sig_a.data(), n);
        }},
       {"pearson_accumulate", 3,
        [&d, n](const simd::Kernels& k, double* out) {
@@ -308,16 +292,11 @@ std::vector<SimdWorkload> simd_workloads() {
          out[0] = s.sxy;
          out[1] = s.sxx;
          out[2] = s.syy;
-       },
-       [&d, n](double* out) {
-         lumichat::bench::presimd_pearson(d.sig_a.data(), d.sig_b.data(), n,
-                                          100.0, 100.0, out);
        }},
       {"convolve_same_21tap", n,
        [&d, n](const simd::Kernels& k, double* out) {
          k.convolve_same(d.sig_a.data(), n, d.taps.data(), d.taps.size(), out);
-       },
-       nullptr},
+       }},
       {"resample_linear_30to25",
        static_cast<std::size_t>(
            std::floor(static_cast<double>(n - 1) / 30.0 * 25.0)) + 1,
@@ -326,34 +305,21 @@ std::vector<SimdWorkload> simd_workloads() {
              static_cast<std::size_t>(
                  std::floor(static_cast<double>(n - 1) / 30.0 * 25.0)) + 1;
          k.resample_linear(d.sig_a.data(), n, 30.0, 25.0, out, out_n);
-       },
-       nullptr},
+       }},
       {"luminance_row_sum", 1,
        [&d, npix](const simd::Kernels& k, double* out) {
          out[0] = k.luminance_row_sum(d.rgb.data(), npix, 0.2126, 0.7152,
                                       0.0722);
-       },
-       [&d, npix](double* out) {
-         out[0] = lumichat::bench::presimd_luminance_row(d.rgb.data(), npix,
-                                                         0.2126, 0.7152,
-                                                         0.0722);
        }},
       {"roi_luminance_frac", 1,
        [&d](const simd::Kernels& k, double* out) {
          out[0] = image::roi_luminance(d.frame, d.roi, k);
-       },
-       [&d](double* out) {
-         out[0] = lumichat::bench::presimd_roi_luminance(d.frame, d.roi);
        }},
       {"squared_dist4_batch", d.soa[0].size(),
        [&d](const simd::Kernels& k, double* out) {
          k.squared_dist4_batch(d.soa[0].data(), d.soa[1].data(),
                                d.soa[2].data(), d.soa[3].data(),
                                d.soa[0].size(), d.q, out);
-       },
-       [&d](double* out) {
-         lumichat::bench::presimd_euclidean_batch(d.aos.data(),
-                                                  d.soa[0].size(), d.q, out);
        }},
       // The CRC is an integer; it fits a double exactly, so the
       // bit-equality gate compares it like any other output.
@@ -361,10 +327,6 @@ std::vector<SimdWorkload> simd_workloads() {
        [&d](const simd::Kernels& k, double* out) {
          out[0] = k.crc32_update(0xFFFFFFFFu, d.frame_msg.data(),
                                  d.frame_msg.size());
-       },
-       [&d](double* out) {
-         out[0] = lumichat::bench::presimd_crc32_update(
-             0xFFFFFFFFu, d.frame_msg.data(), d.frame_msg.size());
        }},
   };
 }
@@ -390,15 +352,13 @@ void register_simd_benchmarks() {
   }
 }
 
-/// Best-of-repeats ns/call for one runnable (kernel-table call or presimd
-/// reference).
-double time_runner_ns(std::size_t out_len,
-                      const std::function<void(double*)>& run) {
-  std::vector<double> out(out_len, 0.0);
+/// Best-of-repeats ns/call for one workload on one kernel table.
+double time_simd_ns(const SimdWorkload& w, const simd::Kernels& table) {
+  std::vector<double> out(w.out_len, 0.0);
   auto run_batch = [&](std::size_t iters) {
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < iters; ++i) {
-      run(out.data());
+      w.run(table, out.data());
       benchmark::DoNotOptimize(out.data());
     }
     const auto t1 = std::chrono::steady_clock::now();
@@ -411,11 +371,6 @@ double time_runner_ns(std::size_t out_len,
   double best = run_batch(iters);
   for (int rep = 1; rep < 5; ++rep) best = std::min(best, run_batch(iters));
   return best / static_cast<double>(iters);
-}
-
-double time_simd_ns(const SimdWorkload& w, const simd::Kernels& table) {
-  return time_runner_ns(w.out_len,
-                        [&](double* out) { w.run(table, out); });
 }
 
 /// --simd-json driver: equality gate + timing report. Returns the process
@@ -446,30 +401,15 @@ int run_simd_json(const std::string& path) {
         }
       }
     }
-    // "speedup" is the before/after of the dispatch layer: pre-SIMD hot-path
-    // loop vs the AVX2 table. Where the pre-SIMD loop is literally the
-    // scalar-table code (per-output kernels: convolve, resample), the scalar
-    // table IS the before and there is no separate presimd entry.
-    // "speedup_vs_scalar_table" isolates the hand-vectorization alone — the
-    // scalar table already carries the widened multi-accumulator reduction,
-    // so without FMA (banned by the bit-equality contract) that ratio is
-    // port-capped at 4.0x on 4-wide doubles.
+    // "speedup" is the scalar table over the AVX2 table: the
+    // hand-vectorization alone. The scalar table already carries the widened
+    // multi-accumulator reduction, so without FMA (banned by the
+    // bit-equality contract) reductions are port-capped at 4.0x on 4-wide
+    // doubles. The pre-SIMD loops' timings are frozen in BENCH_simd.json.
     const double ns_s = time_simd_ns(w, scalar);
-    const double ns_p = w.presimd ? time_runner_ns(w.out_len, w.presimd)
-                                  : ns_s;
     const double ns_v = (avx2 != nullptr) ? time_simd_ns(w, *avx2) : 0.0;
     char buf[320];
-    if (avx2 != nullptr && w.presimd) {
-      std::snprintf(buf, sizeof buf,
-                    "    \"%s\": {\"presimd_ns\": %.1f, \"scalar_ns\": %.1f, "
-                    "\"avx2_ns\": %.1f, \"speedup\": %.2f, "
-                    "\"speedup_vs_scalar_table\": %.2f}",
-                    w.name, ns_p, ns_s, ns_v, ns_p / ns_v, ns_s / ns_v);
-      std::fprintf(stderr,
-                   "[simd] %-24s presimd %9.1f ns  scalar %9.1f ns  avx2 "
-                   "%9.1f ns  speedup %5.2fx (vs scalar table %4.2fx)\n",
-                   w.name, ns_p, ns_s, ns_v, ns_p / ns_v, ns_s / ns_v);
-    } else if (avx2 != nullptr) {
+    if (avx2 != nullptr) {
       std::snprintf(buf, sizeof buf,
                     "    \"%s\": {\"scalar_ns\": %.1f, \"avx2_ns\": %.1f, "
                     "\"speedup\": %.2f}",

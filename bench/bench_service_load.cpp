@@ -653,7 +653,6 @@ int main(int argc, char** argv) {
   std::vector<service::SessionResult> baseline;
   double baseline_s = 0.0;
   double four_thread_speedup = 0.0;
-  std::string json;
   bool deterministic = true;
   service::LoadReport final_report;
   std::size_t final_threads = 0;
@@ -685,7 +684,6 @@ int main(int argc, char** argv) {
                report.metrics.latency_p99_s * 1e3,
                static_cast<unsigned long long>(report.metrics.frames_dropped),
                speedup);
-    json = report.metrics.to_json();
     if (nt == thread_counts.back()) {
       std::printf("\n[accuracy] %.1f%% of %zu sessions classified "
                   "correctly (%zu rejected at admission)\n",
@@ -696,7 +694,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("[metrics] %s\n", json.c_str());
   std::printf("[registry] %s\n", registry.to_json().c_str());
   if (!trace_out.empty()) {
     obs::Tracer::uninstall();

@@ -1,9 +1,10 @@
 #include "common/thread_pool.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <string>
+
+#include "common/env.hpp"
 
 namespace lumichat::common {
 
@@ -92,11 +93,7 @@ void ThreadPool::parallel_for(std::size_t n,
 }
 
 std::size_t ThreadPool::default_thread_count() {
-  if (const char* env = std::getenv("LUMICHAT_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
-  }
+  if (const auto n = env_positive_integer("LUMICHAT_THREADS")) return *n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }

@@ -67,8 +67,8 @@ class ThreadPool {
   /// after the remaining indices have been drained.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// LUMICHAT_THREADS env var if set to a positive integer, else
-  /// hardware_concurrency(), else 1.
+  /// LUMICHAT_THREADS env var if it is a positive decimal integer (see
+  /// env_positive_integer), else hardware_concurrency(), else 1.
   [[nodiscard]] static std::size_t default_thread_count();
 
  private:

@@ -2,15 +2,15 @@
 //
 // The registry owns "which model is current" for a whole service. Readers
 // (session creation, score paths) call current() and get a shared_ptr to an
-// immutable snapshot: a single atomic load, no lock shared with writers,
-// and the handle keeps the snapshot alive for as long as the reader uses
-// it. Writers fit a new snapshot off to the side (the expensive part) and
-// publish it with one atomic pointer swap — sessions already running on the
-// old version are never stalled, never see a half-built model, and simply
-// retire their handle when they finish; the old snapshot frees itself when
-// the last reader drops it. Versions are assigned monotonically at publish
-// time, so explanation records and saved models can always be tied to the
-// exact model that produced them.
+// immutable snapshot: a pointer copy under a lock that writers hold only
+// for the pointer swap, and the handle keeps the snapshot alive for as long
+// as the reader uses it. Writers fit a new snapshot off to the side (the
+// expensive part) and publish it with one pointer swap — sessions already
+// running on the old version are never stalled, never see a half-built
+// model, and simply retire their handle when they finish; the old snapshot
+// frees itself when the last reader drops it. Versions are assigned
+// monotonically at publish time, so explanation records and saved models
+// can always be tied to the exact model that produced them.
 #pragma once
 
 #include <atomic>
@@ -45,11 +45,12 @@ class ModelRegistry {
   std::shared_ptr<const LofModelSnapshot> install(
       std::shared_ptr<const LofModelSnapshot> snapshot);
 
-  /// The current model, or null if nothing has been published. Wait-free
-  /// for readers; the returned handle stays valid across any concurrent
+  /// The current model, or null if nothing has been published. Never waits
+  /// on a fit; the returned handle stays valid across any concurrent
   /// publish.
   [[nodiscard]] std::shared_ptr<const LofModelSnapshot> current() const {
-    return current_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(current_mu_);
+    return current_;
   }
 
   /// Version of the current model (0 when empty or unregistered).
@@ -80,6 +81,9 @@ class ModelRegistry {
   }
 
  private:
+  /// Makes `snapshot` current; the old one is released outside the lock.
+  void make_current(std::shared_ptr<const LofModelSnapshot> snapshot);
+
   void notify_swap(std::uint64_t version) {
     if (swap_hook_ != nullptr) swap_hook_(swap_ctx_, version);
   }
@@ -87,7 +91,11 @@ class ModelRegistry {
   SwapHook swap_hook_ = nullptr;
   void* swap_ctx_ = nullptr;
 
-  std::atomic<std::shared_ptr<const LofModelSnapshot>> current_{nullptr};
+  // A mutex rather than std::atomic<std::shared_ptr>: libstdc++ 12's
+  // atomic load releases its internal lock bit with relaxed order, a data
+  // race ThreadSanitizer reports against every concurrent publish.
+  mutable std::mutex current_mu_;  ///< held only to copy or swap current_
+  std::shared_ptr<const LofModelSnapshot> current_;
   std::atomic<std::uint64_t> publish_count_{0};
 
   std::mutex mu_;  ///< serialises writers (publish/install)

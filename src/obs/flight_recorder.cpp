@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 
 namespace lumichat::obs {
 
@@ -69,9 +70,14 @@ void FlightRecorder::record(std::size_t lane_idx, FlightEntry entry) {
   Slot& slot = lane.slots[claim & mask_];
   // Seqlock write: odd marks in-progress, the final even value encodes the
   // claim so readers can detect a same-slot overwrite that completed
-  // between their two sequence loads.
-  slot.seq.store(2 * claim + 1, std::memory_order_release);
-  slot.entry = entry;
+  // between their two sequence loads. The word stores are release so a
+  // reader that sees any of them also sees the odd mark before it.
+  std::uint64_t raw[kEntryWords] = {};
+  std::memcpy(raw, &entry, sizeof(FlightEntry));
+  slot.seq.store(2 * claim + 1, std::memory_order_relaxed);
+  for (std::size_t w = 0; w < kEntryWords; ++w) {
+    slot.words[w].store(raw[w], std::memory_order_release);
+  }
   slot.seq.store(2 * claim + 2, std::memory_order_release);
 
   const std::uint32_t bit = trigger_bit(entry.kind);
@@ -103,10 +109,15 @@ std::vector<FlightEntry> FlightRecorder::collect() const {
       const Slot& slot = lane.slots[i];
       const std::uint64_t s1 = slot.seq.load(std::memory_order_acquire);
       if (s1 == 0 || (s1 & 1) != 0) continue;  // empty or write in progress
-      FlightEntry copy = slot.entry;
-      std::atomic_thread_fence(std::memory_order_acquire);
+      // Acquire word loads keep the second sequence load after them.
+      std::uint64_t raw[kEntryWords];
+      for (std::size_t w = 0; w < kEntryWords; ++w) {
+        raw[w] = slot.words[w].load(std::memory_order_acquire);
+      }
       const std::uint64_t s2 = slot.seq.load(std::memory_order_relaxed);
       if (s1 != s2) continue;  // torn: overwritten during the copy
+      FlightEntry copy;
+      std::memcpy(&copy, raw, sizeof(FlightEntry));
       out.push_back(copy);
     }
   }

@@ -6,8 +6,8 @@
 // Design:
 //  - One lane per shard (or per writer domain). A lane is a power-of-two
 //    ring of seqlock-stamped entries. Writers claim a slot with one
-//    fetch_add and publish with two release stores; no locks, no
-//    allocation, bounded memory forever (the `FrameArena` discipline).
+//    fetch_add and publish with release stores; no locks, no allocation,
+//    bounded memory forever (the `FrameArena` discipline).
 //  - Entries are fixed-size PODs — a kind tag, the trace id, the per-stage
 //    latency timeline, the verdict summary — so recording a frame is a
 //    couple of cache lines.
@@ -22,6 +22,7 @@
 //    server poll cycle) writes every lane to JSONL.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -119,11 +120,15 @@ class FlightRecorder {
   [[nodiscard]] static std::string entry_json(const FlightEntry& entry);
 
  private:
+  /// The entry is stored as atomic 64-bit words: a reader may copy a slot
+  /// while a writer overwrites it, and only atomic accesses make that copy
+  /// defined (and visible to ThreadSanitizer, which does not model fences).
+  static constexpr std::size_t kEntryWords = (sizeof(FlightEntry) + 7) / 8;
   struct Slot {
     // Seqlock word: 0 = empty; odd = write in progress; even > 0 = entry
     // published by the claim with stamp (seq / 2) - 1.
     std::atomic<std::uint64_t> seq{0};
-    FlightEntry entry;
+    std::array<std::atomic<std::uint64_t>, kEntryWords> words{};
   };
   struct Lane {
     std::unique_ptr<Slot[]> slots;

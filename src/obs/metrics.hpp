@@ -1,10 +1,9 @@
 // General-purpose metrics: named counters, gauges, and log-bucketed
 // histograms behind one registry with a single snapshot/merge/JSON path.
 //
-// `LogHistogram` generalises the service layer's LatencyHistogram (which is
-// now an alias for it): the same 132 quarter-octave buckets covering
-// 1 us .. ~2.4 h, plus exact running sum and max so snapshots report mean
-// and worst-case, not just bucket-resolution quantiles.
+// `LogHistogram` has 132 quarter-octave buckets covering 1 us .. ~2.4 h,
+// plus exact running sum and max so snapshots report mean and worst-case,
+// not just bucket-resolution quantiles.
 //
 // Writers never take a lock — counters and histogram buckets are relaxed
 // atomics — so instruments can be bumped from pool workers at frame rate.

@@ -486,7 +486,6 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
         core::majority_vote(caller.out.verdicts, vote_fraction);
     report.callers.push_back(std::move(caller.out));
   }
-  report.metrics = manager.metrics_snapshot();
   return report;
 }
 

@@ -72,7 +72,6 @@ struct ScenarioReport {
   /// Initial admissions rejected by capacity (those callers never run).
   std::size_t admission_rejections = 0;
   double elapsed_s = 0.0;
-  service::MetricsSnapshot metrics{};
 
   /// Windows whose truth was attacker / legitimate that were decided (not
   /// abstained), and how many of those the detector got right — the

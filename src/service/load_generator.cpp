@@ -169,12 +169,6 @@ LoadReport run_load(const LoadSpec& spec, const ServiceConfig& service_config,
   FrameScheduler scheduler(pool, registry);
   manager.attach_scheduler(&scheduler);
 
-  obs::Counter* admitted_ctr =
-      registry != nullptr ? &registry->counter("load.sessions_admitted")
-                          : nullptr;
-  obs::Counter* rejected_ctr =
-      registry != nullptr ? &registry->counter("load.sessions_rejected")
-                          : nullptr;
   obs::Counter* fed_ctr =
       registry != nullptr ? &registry->counter("load.frames_fed") : nullptr;
 
@@ -195,10 +189,8 @@ LoadReport run_load(const LoadSpec& spec, const ServiceConfig& service_config,
     const std::optional<SessionId> id = manager.create();
     if (!id.has_value()) {
       ++rejected;
-      if (rejected_ctr != nullptr) rejected_ctr->add();
       continue;
     }
-    if (admitted_ctr != nullptr) admitted_ctr->add();
     chats.push_back(Chat{*id, i, attacker, nullptr});
   }
 

@@ -103,10 +103,10 @@ class ChatSource {
 /// a concurrent publish to `models` hot-swaps the model for sessions
 /// created after it). `pool` is used both for frame generation (chats are
 /// independent) and for the scheduler's drains; nullptr runs everything
-/// serially. An optional metrics registry (borrowed) receives load.*
-/// counters and is handed to the FrameScheduler for its scheduler.*
-/// counters; it never influences the run's results. `sink` receives every
-/// session's RoundExplanations (nullptr = silent).
+/// serially. An optional metrics registry (borrowed) receives the
+/// load.frames_fed counter and is handed to the FrameScheduler for its
+/// scheduler.* counters; it never influences the run's results. `sink`
+/// receives every session's RoundExplanations (nullptr = silent).
 [[nodiscard]] LoadReport run_load(const LoadSpec& spec,
                                   const ServiceConfig& service_config,
                                   const core::StreamingConfig& streaming,

@@ -7,9 +7,24 @@
 
 namespace lumichat::service {
 
+ServiceInstruments::ServiceInstruments(obs::MetricsRegistry& registry)
+    : sessions_created(registry.counter("service.sessions_created")),
+      sessions_rejected(registry.counter("service.sessions_rejected")),
+      sessions_evicted(registry.counter("service.sessions_evicted")),
+      frames_in(registry.counter("service.frames_in")),
+      frames_dropped(registry.counter("service.frames_dropped")),
+      frames_processed(registry.counter("service.frames_processed")),
+      windows_completed(registry.counter("service.windows_completed")),
+      verdicts_legit(registry.counter("service.verdicts_legit")),
+      verdicts_attacker(registry.counter("service.verdicts_attacker")),
+      verdicts_abstain(registry.counter("service.verdicts_abstain")),
+      push_to_verdict(registry.histogram("service.push_to_verdict")),
+      queue_wait(registry.histogram("service.stage.queue_wait")),
+      detect(registry.histogram("service.stage.detect")) {}
+
 ServiceSession::ServiceSession(SessionId id, core::StreamingDetector detector,
                                std::size_t queue_capacity,
-                               ServiceMetrics* metrics)
+                               const ServiceInstruments* metrics)
     : id_(id),
       queue_capacity_(queue_capacity == 0 ? 1 : queue_capacity),
       metrics_(metrics),
@@ -60,7 +75,7 @@ std::size_t ServiceSession::drain() {
   if (closed_.load(std::memory_order_acquire)) {
     // Raced with close(): the session's detector is already flushed (and
     // possibly recycled), so the late batch is accounted as dropped.
-    if (metrics_ != nullptr) metrics_->on_frames_dropped(drain_batch_.size());
+    if (metrics_ != nullptr) metrics_->frames_dropped.add(drain_batch_.size());
     for (FrameJob& job : drain_batch_) release_frame_job(std::move(job));
     drain_batch_.clear();
     return 0;
@@ -84,8 +99,9 @@ std::size_t ServiceSession::drain() {
     const double detect =
         timed ? std::chrono::duration<double>(t_done - t_pickup).count() : 0.0;
     if (metrics_ != nullptr) {
-      metrics_->on_frame_processed();
-      metrics_->on_frame_stage(queue_wait, detect);
+      metrics_->frames_processed.add();
+      metrics_->queue_wait.record(queue_wait);
+      metrics_->detect.record(detect);
     }
     if (verdict.has_value()) {
       const ServiceClock::time_point completed =
@@ -98,7 +114,14 @@ std::size_t ServiceSession::drain() {
                       completed};
       history_.push_back(w);
       if (metrics_ != nullptr) {
-        metrics_->on_window_verdict(verdict->verdict, latency);
+        const ServiceInstruments& m = *metrics_;
+        m.windows_completed.add();
+        switch (verdict->verdict) {
+          case core::Verdict::kAttacker: m.verdicts_attacker.add(); break;
+          case core::Verdict::kLegitimate: m.verdicts_legit.add(); break;
+          case core::Verdict::kAbstain: m.verdicts_abstain.add(); break;
+        }
+        m.push_to_verdict.record(latency);
       }
       if (flight_ != nullptr) record_flight(w);
     }
@@ -210,7 +233,7 @@ ServiceSession::CloseReport ServiceSession::close() {
     }
   }
   if (metrics_ != nullptr && discarded > 0) {
-    metrics_->on_frames_dropped(discarded);
+    metrics_->frames_dropped.add(discarded);
   }
 
   const std::lock_guard<std::mutex> lock(state_mu_);

@@ -23,7 +23,7 @@
 #include "core/voting.hpp"
 #include "image/image.hpp"
 #include "obs/flight_recorder.hpp"
-#include "service/metrics.hpp"
+#include "obs/metrics.hpp"
 
 namespace lumichat::service {
 
@@ -43,6 +43,27 @@ class FrameRecycler {
 
  protected:
   ~FrameRecycler() = default;
+};
+
+/// The service.* instruments of one SessionManager's registry, resolved once
+/// at construction. Sessions and the manager bump them through these
+/// references, so no per-frame path ever does a name lookup.
+struct ServiceInstruments {
+  explicit ServiceInstruments(obs::MetricsRegistry& registry);
+
+  obs::Counter& sessions_created;
+  obs::Counter& sessions_rejected;  ///< admission-control rejections
+  obs::Counter& sessions_evicted;
+  obs::Counter& frames_in;          ///< accepted by feed()
+  obs::Counter& frames_dropped;     ///< backpressure + eviction discards
+  obs::Counter& frames_processed;   ///< pushed through a detector
+  obs::Counter& windows_completed;
+  obs::Counter& verdicts_legit;
+  obs::Counter& verdicts_attacker;
+  obs::Counter& verdicts_abstain;   ///< degraded-input non-votes
+  obs::LogHistogram& push_to_verdict;  ///< enqueue -> verdict, completing frame
+  obs::LogHistogram& queue_wait;       ///< enqueue -> drain pickup
+  obs::LogHistogram& detect;           ///< detector work inside the drain
 };
 
 /// One queued frame pair awaiting detection.
@@ -98,7 +119,8 @@ class ServiceSession {
  public:
   /// `metrics` is borrowed from the owning manager (may be null in tests).
   ServiceSession(SessionId id, core::StreamingDetector detector,
-                 std::size_t queue_capacity, ServiceMetrics* metrics);
+                 std::size_t queue_capacity,
+                 const ServiceInstruments* metrics);
 
   ServiceSession(const ServiceSession&) = delete;
   ServiceSession& operator=(const ServiceSession&) = delete;
@@ -169,7 +191,7 @@ class ServiceSession {
 
   const SessionId id_;
   const std::size_t queue_capacity_;
-  ServiceMetrics* const metrics_;
+  const ServiceInstruments* const metrics_;
 
   // The frame queue is a fixed ring over pre-constructed slots: enqueue
   // move-assigns into a slot and pop move-assigns out, so steady-state

@@ -1,21 +1,17 @@
 #include "service/session_manager.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
+#include "common/env.hpp"
 #include "obs/trace.hpp"
 #include "service/scheduler.hpp"
 
 namespace lumichat::service {
 
 std::size_t default_service_capacity() {
-  if (const char* env = std::getenv("LUMICHAT_SERVICE_CAPACITY")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
-  }
-  return 4096;
+  return common::env_positive_integer("LUMICHAT_SERVICE_CAPACITY")
+      .value_or(4096);
 }
 
 SessionManager::SessionManager(ServiceConfig config,
@@ -40,7 +36,7 @@ SessionManager::SessionManager(ServiceConfig config,
 }
 
 core::StreamingDetector SessionManager::checkout_detector() {
-  // Fetch the model first: one wait-free registry read per create, so a
+  // Fetch the model first: one registry read per create, so a
   // concurrent publish() swaps the model for this session or the next one,
   // never mid-construction.
   std::shared_ptr<const model::LofModelSnapshot> snapshot = models_->current();
@@ -65,7 +61,7 @@ bool SessionManager::reserve_slot() {
   const std::size_t prior = active_.fetch_add(1, std::memory_order_acq_rel);
   if (prior >= config_.max_sessions) {
     active_.fetch_sub(1, std::memory_order_acq_rel);
-    metrics_.on_session_rejected();
+    instruments_.sessions_rejected.add();
     return false;
   }
   return true;
@@ -75,7 +71,7 @@ void SessionManager::install_session(SessionId id) {
   core::StreamingDetector detector = checkout_detector();
   detector.set_stream_id(id);  // labels the session's RoundExplanations
   auto session = std::make_shared<ServiceSession>(
-      id, std::move(detector), config_.session_queue_capacity, &metrics_);
+      id, std::move(detector), config_.session_queue_capacity, &instruments_);
   if (flight_ != nullptr) {
     session->set_flight_recorder(flight_,
                                  static_cast<std::size_t>(id % flight_->lanes()));
@@ -85,7 +81,7 @@ void SessionManager::install_session(SessionId id) {
     const std::lock_guard<std::mutex> lock(shard.mu);
     shard.sessions.emplace(id, std::move(session));
   }
-  metrics_.on_session_created();
+  instruments_.sessions_created.add();
 }
 
 std::optional<SessionId> SessionManager::create() {
@@ -145,8 +141,8 @@ bool SessionManager::feed(SessionId id, FrameJob&& job) {
 
   bool dropped = false;
   if (!session->enqueue(std::move(job), &dropped)) return false;
-  metrics_.on_frame_in();
-  if (dropped) metrics_.on_frames_dropped(1);
+  instruments_.frames_in.add();
+  if (dropped) instruments_.frames_dropped.add();
 
   if (scheduler_ != nullptr) {
     scheduler_->notify(session);
@@ -156,6 +152,29 @@ bool SessionManager::feed(SessionId id, FrameJob&& job) {
     } while (session->finish_drain());
   }
   return true;
+}
+
+MetricsSnapshot SessionManager::metrics_snapshot() const {
+  const ServiceInstruments& m = instruments_;
+  MetricsSnapshot s;
+  s.sessions_created = m.sessions_created.value();
+  s.sessions_rejected = m.sessions_rejected.value();
+  s.sessions_evicted = m.sessions_evicted.value();
+  s.sessions_active = active_.load(std::memory_order_relaxed);
+  s.frames_in = m.frames_in.value();
+  s.frames_dropped = m.frames_dropped.value();
+  s.frames_processed = m.frames_processed.value();
+  s.windows_completed = m.windows_completed.value();
+  s.verdicts_legit = m.verdicts_legit.value();
+  s.verdicts_attacker = m.verdicts_attacker.value();
+  s.verdicts_abstain = m.verdicts_abstain.value();
+  s.latency_p50_s = m.push_to_verdict.quantile(0.50);
+  s.latency_p95_s = m.push_to_verdict.quantile(0.95);
+  s.latency_p99_s = m.push_to_verdict.quantile(0.99);
+  s.latency_p999_s = m.push_to_verdict.quantile(0.999);
+  s.latency_mean_s = m.push_to_verdict.mean();
+  s.latency_max_s = m.push_to_verdict.max();
+  return s;
 }
 
 std::optional<core::VoteOutcome> SessionManager::running_verdict(
@@ -205,7 +224,7 @@ std::optional<ServiceSession::CloseReport> SessionManager::evict(
     }
   }
   active_.fetch_sub(1, std::memory_order_acq_rel);
-  metrics_.on_session_evicted();
+  instruments_.sessions_evicted.add();
   return report;
 }
 

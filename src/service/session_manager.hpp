@@ -34,16 +34,37 @@
 
 #include "core/streaming.hpp"
 #include "model/registry.hpp"
-#include "service/metrics.hpp"
+#include "obs/metrics.hpp"
 #include "service/session.hpp"
 
 namespace lumichat::service {
 
 class FrameScheduler;
 
-/// LUMICHAT_SERVICE_CAPACITY environment variable if set to a positive
-/// integer (parsed exactly like LUMICHAT_THREADS), else 4096.
+/// LUMICHAT_SERVICE_CAPACITY environment variable if it is a positive
+/// decimal integer (parsed exactly like LUMICHAT_THREADS), else 4096.
 [[nodiscard]] std::size_t default_service_capacity();
+
+/// Point-in-time values of a SessionManager's service.* instruments.
+struct MetricsSnapshot {
+  std::uint64_t sessions_created = 0;
+  std::uint64_t sessions_rejected = 0;  ///< admission-control rejections
+  std::uint64_t sessions_evicted = 0;
+  std::uint64_t sessions_active = 0;
+  std::uint64_t frames_in = 0;        ///< accepted by feed()
+  std::uint64_t frames_dropped = 0;   ///< backpressure + eviction discards
+  std::uint64_t frames_processed = 0;  ///< pushed through a detector
+  std::uint64_t windows_completed = 0;
+  std::uint64_t verdicts_legit = 0;
+  std::uint64_t verdicts_attacker = 0;
+  std::uint64_t verdicts_abstain = 0;  ///< degraded-input non-votes
+  double latency_p50_s = 0.0;  ///< push-to-verdict, completing frame
+  double latency_p95_s = 0.0;
+  double latency_p99_s = 0.0;
+  double latency_p999_s = 0.0;
+  double latency_mean_s = 0.0;  ///< exact (not bucket-resolution) mean
+  double latency_max_s = 0.0;   ///< exact worst case
+};
 
 struct ServiceConfig {
   std::size_t n_shards = 16;
@@ -145,10 +166,13 @@ class SessionManager {
   [[nodiscard]] std::size_t capacity() const { return config_.max_sessions; }
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
 
-  ServiceMetrics& metrics() { return metrics_; }
-  [[nodiscard]] MetricsSnapshot metrics_snapshot() const {
-    return metrics_.snapshot(active_.load(std::memory_order_relaxed));
+  /// The manager's registry: the service.* counters and the
+  /// service.push_to_verdict / service.stage.{queue_wait,detect}
+  /// histograms. sessions_active is not in it (active_sessions() is).
+  [[nodiscard]] const obs::MetricsRegistry& metrics() const {
+    return metrics_;
   }
+  [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
 
   /// First id of the shard-pinned range used by create_on_shard(). High
   /// enough that create()'s sequential ids can never reach it.
@@ -182,7 +206,9 @@ class SessionManager {
   std::atomic<std::size_t> active_{0};
   FrameScheduler* scheduler_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;  ///< borrowed; may be null
-  ServiceMetrics metrics_;
+  obs::MetricsRegistry metrics_;
+  /// Resolved from metrics_ once; sessions get a pointer to it.
+  ServiceInstruments instruments_{metrics_};
 
   std::mutex freelist_mu_;
   std::vector<core::StreamingDetector> freelist_;

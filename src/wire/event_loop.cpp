@@ -1,147 +1,71 @@
 #include "wire/event_loop.hpp"
 
+#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
+#include <system_error>
 
-#include <unistd.h>
-
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
 namespace lumichat::wire {
 namespace {
 
 /// Per-wait dispatch batch. Ready fds beyond the batch simply surface on
-/// the next wait() — both backends are level-triggered.
+/// the next wait() — epoll is used level-triggered.
 constexpr std::size_t kEventBatch = 64;
+
+::epoll_event interest(int fd, bool want_read, bool want_write) {
+  ::epoll_event ev{};
+  ev.events = (want_read ? static_cast<std::uint32_t>(EPOLLIN) : 0u) |
+              (want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
+  ev.data.fd = fd;
+  return ev;
+}
 
 }  // namespace
 
-Backend EventLoop::default_backend() {
-  if (const char* env = std::getenv("LUMICHAT_WIRE_POLL")) {
-    if (env[0] == '1' && env[1] == '\0') return Backend::kPoll;
+EventLoop::EventLoop() : epfd_(::epoll_create1(0)) {
+  if (epfd_ < 0) {
+    throw std::system_error(errno, std::generic_category(),
+                            "EventLoop: epoll_create1");
   }
-#ifdef __linux__
-  return Backend::kEpoll;
-#else
-  return Backend::kPoll;
-#endif
-}
-
-EventLoop::EventLoop(Backend backend) : backend_(backend) {
-#ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    epfd_ = ::epoll_create1(0);
-    if (epfd_ < 0) backend_ = Backend::kPoll;  // degrade, don't fail
-  }
-#else
-  backend_ = Backend::kPoll;
-#endif
   events_.resize(kEventBatch);
 }
 
-EventLoop::~EventLoop() {
-  if (epfd_ >= 0) ::close(epfd_);
-}
-
-std::size_t EventLoop::poll_index(int fd) const {
-  for (std::size_t i = 0; i < pollfds_.size(); ++i) {
-    if (pollfds_[i].fd == fd) return i;
-  }
-  return pollfds_.size();
-}
+EventLoop::~EventLoop() { ::close(epfd_); }
 
 bool EventLoop::add(int fd, bool want_read, bool want_write) {
   if (fd < 0) return false;
-#ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    ::epoll_event ev{};
-    ev.events = (want_read ? static_cast<std::uint32_t>(EPOLLIN) : 0u) |
-                (want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
-    ++n_watched_;
-    return true;
-  }
-#endif
-  if (poll_index(fd) != pollfds_.size()) return false;  // already registered
-  ::pollfd p{};
-  p.fd = fd;
-  p.events = static_cast<short>((want_read ? POLLIN : 0) |
-                                (want_write ? POLLOUT : 0));
-  pollfds_.push_back(p);
+  ::epoll_event ev = interest(fd, want_read, want_write);
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
   ++n_watched_;
   return true;
 }
 
 bool EventLoop::modify(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    ::epoll_event ev{};
-    ev.events = (want_read ? static_cast<std::uint32_t>(EPOLLIN) : 0u) |
-                (want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
-    ev.data.fd = fd;
-    return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
-  }
-#endif
-  const std::size_t i = poll_index(fd);
-  if (i == pollfds_.size()) return false;
-  pollfds_[i].events = static_cast<short>((want_read ? POLLIN : 0) |
-                                          (want_write ? POLLOUT : 0));
-  return true;
+  ::epoll_event ev = interest(fd, want_read, want_write);
+  return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
 }
 
 bool EventLoop::remove(int fd) {
-#ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    if (::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) != 0) return false;
-    --n_watched_;
-    return true;
-  }
-#endif
-  const std::size_t i = poll_index(fd);
-  if (i == pollfds_.size()) return false;
-  pollfds_[i] = pollfds_.back();  // order is irrelevant to poll(2)
-  pollfds_.pop_back();
+  if (::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) != 0) return false;
   --n_watched_;
   return true;
 }
 
 std::size_t EventLoop::wait(int timeout_ms) {
-#ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    ::epoll_event ready[kEventBatch];
-    const int n =
-        ::epoll_wait(epfd_, ready, static_cast<int>(kEventBatch), timeout_ms);
-    if (n <= 0) return 0;
-    for (int i = 0; i < n; ++i) {
-      Event& out = events_[static_cast<std::size_t>(i)];
-      out.fd = ready[i].data.fd;
-      out.readable = (ready[i].events & EPOLLIN) != 0;
-      out.writable = (ready[i].events & EPOLLOUT) != 0;
-      out.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-    }
-    return static_cast<std::size_t>(n);
-  }
-#endif
-  if (pollfds_.empty()) return 0;
-  const int n = ::poll(pollfds_.data(),
-                       static_cast<nfds_t>(pollfds_.size()), timeout_ms);
+  ::epoll_event ready[kEventBatch];
+  const int n =
+      ::epoll_wait(epfd_, ready, static_cast<int>(kEventBatch), timeout_ms);
   if (n <= 0) return 0;
-  std::size_t out_i = 0;
-  for (const ::pollfd& p : pollfds_) {
-    if (p.revents == 0) continue;
-    Event& out = events_[out_i++];
-    out.fd = p.fd;
-    out.readable = (p.revents & POLLIN) != 0;
-    out.writable = (p.revents & POLLOUT) != 0;
-    out.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-    if (out_i == events_.size()) break;  // batch full; rest next wait()
+  for (int i = 0; i < n; ++i) {
+    Event& out = events_[static_cast<std::size_t>(i)];
+    out.fd = ready[i].data.fd;
+    out.readable = (ready[i].events & EPOLLIN) != 0;
+    out.writable = (ready[i].events & EPOLLOUT) != 0;
+    out.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
   }
-  return out_i;
+  return static_cast<std::size_t>(n);
 }
-
-std::size_t EventLoop::watched() const { return n_watched_; }
 
 }  // namespace lumichat::wire

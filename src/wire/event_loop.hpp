@@ -1,27 +1,15 @@
 // Readiness notification for the wire front-end.
 //
 // One EventLoop multiplexes every socket the server owns — the listener and
-// all connections — behind a single wait() call. Two backends:
-//
-//   * kEpoll (Linux): one epoll instance, O(ready) dispatch. The default
-//     wherever it compiles.
-//   * kPoll: portable poll(2) over the registered fd set, O(registered)
-//     dispatch. Fallback for non-Linux builds, and forced everywhere via
-//     LUMICHAT_WIRE_POLL=1 so CI exercises both paths on the same machine.
-//
-// Both backends report through the same preallocated Event array, so a
-// steady-state wait/dispatch cycle allocates nothing; only add() may grow
-// the registration tables.
+// all connections — behind a single wait() call: one level-triggered epoll
+// instance with O(ready) dispatch. Results land in a preallocated Event
+// array, so a steady-state wait/dispatch cycle allocates nothing.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include <poll.h>
-
 namespace lumichat::wire {
-
-enum class Backend { kEpoll, kPoll };
 
 /// One ready fd, as reported by wait().
 struct Event {
@@ -34,10 +22,8 @@ struct Event {
 
 class EventLoop {
  public:
-  /// kEpoll on Linux, kPoll elsewhere; LUMICHAT_WIRE_POLL=1 forces kPoll.
-  [[nodiscard]] static Backend default_backend();
-
-  explicit EventLoop(Backend backend = default_backend());
+  /// Throws std::system_error when the epoll instance cannot be created.
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -59,16 +45,11 @@ class EventLoop {
 
   [[nodiscard]] const Event& event(std::size_t i) const { return events_[i]; }
 
-  [[nodiscard]] Backend backend() const { return backend_; }
-  [[nodiscard]] std::size_t watched() const;
+  [[nodiscard]] std::size_t watched() const { return n_watched_; }
 
  private:
-  [[nodiscard]] std::size_t poll_index(int fd) const;
-
-  Backend backend_;
-  int epfd_ = -1;                  ///< epoll backend only
-  std::vector<Event> events_;      ///< wait() results; fixed dispatch batch
-  std::vector<::pollfd> pollfds_;  ///< poll backend registration table
+  int epfd_ = -1;
+  std::vector<Event> events_;  ///< wait() results; fixed dispatch batch
   std::size_t n_watched_ = 0;
 };
 

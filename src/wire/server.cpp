@@ -24,12 +24,10 @@ bool set_nonblocking(int fd) {
 
 WireServer::WireServer(service::SessionManager& manager,
                        service::FrameScheduler* scheduler,
-                       WireServerConfig config, obs::MetricsRegistry* registry,
-                       Backend backend)
+                       WireServerConfig config, obs::MetricsRegistry* registry)
     : manager_(manager),
       scheduler_(scheduler),
       config_(config),
-      loop_(backend),
       ring_(manager.config().n_shards),
       arena_(config.frame_width, config.frame_height, config.arena_initial) {
   if (config_.verdict_flush_max == 0) config_.verdict_flush_max = 1;
@@ -250,8 +248,9 @@ void WireServer::on_stats_request(Connection& conn, const MessageView& msg) {
 obs::RegistrySnapshot WireServer::stats_snapshot() const {
   obs::RegistrySnapshot s;
   if (registry_ != nullptr) s = registry_->snapshot();
-  s.merge(manager_.metrics().registry_snapshot(
-      static_cast<std::uint64_t>(manager_.active_sessions())));
+  s.merge(manager_.metrics().snapshot());
+  s.set_gauge("service.sessions_active",
+              static_cast<double>(manager_.active_sessions()));
   // Model plane: which snapshot version verdicts are being scored against,
   // and how many publishes the registry has seen.
   const auto& models = manager_.models();

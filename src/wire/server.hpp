@@ -78,8 +78,7 @@ class WireServer {
   /// wire.push_to_verdict histogram.
   WireServer(service::SessionManager& manager,
              service::FrameScheduler* scheduler, WireServerConfig config = {},
-             obs::MetricsRegistry* registry = nullptr,
-             Backend backend = EventLoop::default_backend());
+             obs::MetricsRegistry* registry = nullptr);
   ~WireServer();
 
   WireServer(const WireServer&) = delete;
@@ -102,12 +101,11 @@ class WireServer {
   }
   [[nodiscard]] std::size_t stream_count() const { return n_streams_; }
   [[nodiscard]] FrameArena& arena() { return arena_; }
-  [[nodiscard]] Backend backend() const { return loop_.backend(); }
 
   /// The full telemetry plane as one consistent point-in-time snapshot:
-  /// the wire registry (when one was given), the manager's service
-  /// counters/stage histograms, the model-registry version/publish count,
-  /// and per-shard session-count gauges. This is what the Stats wire
+  /// the wire registry (when one was given), the manager's registry plus
+  /// its service.sessions_active gauge, the model-registry version/publish
+  /// count, and per-shard session-count gauges. This is what the Stats wire
   /// request serves; exposed directly so embedders can export it.
   [[nodiscard]] obs::RegistrySnapshot stats_snapshot() const;
 

@@ -137,8 +137,7 @@ service::LoadReport run_socket_load(const service::LoadSpec& spec,
                  2) +
       64;
   server_cfg.flight_recorder = options.flight_recorder;
-  WireServer server(manager, &scheduler, server_cfg, registry,
-                    options.backend);
+  WireServer server(manager, &scheduler, server_cfg, registry);
   if (!options.listen_path.empty()) {
     // Live-monitoring side door: lumichat_stat connects here and speaks
     // Stats requests while the load runs.

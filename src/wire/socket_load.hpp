@@ -28,14 +28,12 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "service/load_generator.hpp"
-#include "wire/event_loop.hpp"
 
 namespace lumichat::wire {
 
 struct SocketLoadOptions {
   /// Socketpair connections the sessions are multiplexed over.
   std::size_t n_connections = 8;
-  Backend backend = EventLoop::default_backend();
   /// When non-empty, the server additionally listens on this Unix-domain
   /// socket so an external monitor (lumichat_stat) can poll a live run.
   std::string listen_path;

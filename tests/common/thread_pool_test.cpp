@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,10 +25,20 @@ TEST(ThreadPool, EnvVarOverridesThreadCount) {
 }
 
 TEST(ThreadPool, GarbageEnvVarFallsBackToHardware) {
-  ASSERT_EQ(setenv("LUMICHAT_THREADS", "banana", 1), 0);
-  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
-  ASSERT_EQ(setenv("LUMICHAT_THREADS", "-2", 1), 0);
-  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
+  // Only default_thread_count() is called here: a pool built from a hostile
+  // value would start that many threads if the parser let it through.
+  ASSERT_EQ(unsetenv("LUMICHAT_THREADS"), 0);
+  const std::size_t fallback = ThreadPool::default_thread_count();
+  // A trailing-garbage value whose digits differ from the fallback, so a
+  // prefix parse cannot pass by coincidence.
+  const std::string prefix_trap = std::to_string(fallback + 1) + "x";
+  for (const char* bad :
+       {"banana", "-2", "0", "", "4x", "1e3", " 3", "+3",
+        "99999999999999999999", prefix_trap.c_str()}) {
+    ASSERT_EQ(setenv("LUMICHAT_THREADS", bad, 1), 0);
+    EXPECT_EQ(ThreadPool::default_thread_count(), fallback)
+        << '"' << bad << '"';
+  }
   ASSERT_EQ(unsetenv("LUMICHAT_THREADS"), 0);
 }
 

@@ -42,6 +42,44 @@ TEST(LogHistogram, SingleSampleIsEveryQuantile) {
   EXPECT_DOUBLE_EQ(h.max(), 1e-3);
 }
 
+TEST(LogHistogram, QuantilesLandInTheRightBucket) {
+  LogHistogram h;
+  for (int i = 0; i < 99; ++i) h.record(1e-3);
+  h.record(100e-3);
+  EXPECT_EQ(h.count(), 100u);
+  // Bucket edges are quarter-octaves: +/-9% resolution, so allow a
+  // generous window around each true value.
+  EXPECT_GT(h.quantile(0.5), 0.8e-3);
+  EXPECT_LT(h.quantile(0.5), 1.3e-3);
+  // The 99th of 100 sorted samples is still 1 ms; only the max reaches
+  // the 100 ms bucket.
+  EXPECT_LT(h.quantile(0.99), 1.3e-3);
+  EXPECT_GT(h.quantile(1.0), 80e-3);
+  EXPECT_LT(h.quantile(1.0), 130e-3);
+}
+
+TEST(LogHistogram, QuantileIsMonotoneInQ) {
+  LogHistogram h;
+  for (int i = 1; i <= 1000; ++i) h.record(static_cast<double>(i) * 1e-4);
+  double prev = 0.0;
+  for (double q = 0.05; q <= 1.0; q += 0.05) {
+    const double v = h.quantile(q);
+    EXPECT_GE(v, prev);
+    prev = v;
+  }
+}
+
+TEST(LogHistogram, TracksExactMeanAndMaxAlongsideBuckets) {
+  LogHistogram h;
+  h.record(1e-3);
+  h.record(3e-3);
+  h.record(8e-3);
+  // Bucket quantiles are +/-9%, but sum/mean/max are exact.
+  EXPECT_DOUBLE_EQ(h.sum(), 12e-3);
+  EXPECT_DOUBLE_EQ(h.mean(), 4e-3);
+  EXPECT_DOUBLE_EQ(h.max(), 8e-3);
+}
+
 TEST(LogHistogram, OutOfRangeQuantileArgumentsClamp) {
   LogHistogram h;
   h.record(1e-3);
@@ -161,6 +199,44 @@ TEST(LogHistogram, ResetZeroesSumAndMaxToo) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_DOUBLE_EQ(h.sum(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 0.0);
+}
+
+// LogHistogram as the per-window verdict-latency recorder the service
+// runtime feeds (seconds, sharded per worker and merged on read).
+TEST(LatencyHistogram, EmptyHistogramReportsZero) {
+  LogHistogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 0.0);
+}
+
+TEST(LatencyHistogram, ExtremeValuesClampInsteadOfCrashing) {
+  LogHistogram h;
+  h.record(0.0);   // below the 1 us floor
+  h.record(-1.0);  // nonsense input
+  h.record(1e9);   // far beyond the top bucket edge
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_GT(h.quantile(1.0), 0.0);
+}
+
+TEST(LatencyHistogram, ResetClears) {
+  LogHistogram h;
+  h.record(1e-3);
+  h.reset();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
+}
+
+TEST(LatencyHistogram, MergeAggregatesShardedRecorders) {
+  LogHistogram shard_a;
+  LogHistogram shard_b;
+  shard_a.record(1e-3);
+  shard_b.record(50e-3);
+  shard_a.merge(shard_b);
+  EXPECT_EQ(shard_a.count(), 2u);
+  EXPECT_DOUBLE_EQ(shard_a.max(), 50e-3);
+  // The merged p100 must come from shard_b's bucket, not shard_a's.
+  EXPECT_GT(shard_a.quantile(1.0), 40e-3);
 }
 
 TEST(MetricsRegistry, InstrumentAddressesAreStablePerName) {

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "model/registry.hpp"
@@ -43,6 +44,24 @@ std::size_t feed_wave(SessionManager& m, SessionId id, std::size_t n,
     }
   }
   return accepted;
+}
+
+std::uint64_t counter_value(const obs::RegistrySnapshot& s,
+                            const std::string& name) {
+  for (const auto& [n, v] : s.counters) {
+    if (n == name) return v;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+std::uint64_t histogram_count(const obs::RegistrySnapshot& s,
+                              const std::string& name) {
+  for (const auto& h : s.histograms) {
+    if (h.name == name) return h.count;
+  }
+  ADD_FAILURE() << "no histogram " << name;
+  return 0;
 }
 
 TEST(SessionManager, RequiresPublishedModel) {
@@ -218,15 +237,14 @@ TEST(SessionManager, DistinctSessionsAreIndependent) {
 
 TEST(ServiceCapacity, EnvironmentKnobParsesLikeThreads) {
   // LUMICHAT_SERVICE_CAPACITY is parsed exactly like LUMICHAT_THREADS:
-  // positive integers win, anything else falls back to the default.
+  // a whole positive decimal wins, anything else falls back to the default.
   ASSERT_EQ(setenv("LUMICHAT_SERVICE_CAPACITY", "37", 1), 0);
   EXPECT_EQ(default_service_capacity(), 37u);
-  ASSERT_EQ(setenv("LUMICHAT_SERVICE_CAPACITY", "0", 1), 0);
-  EXPECT_EQ(default_service_capacity(), 4096u);
-  ASSERT_EQ(setenv("LUMICHAT_SERVICE_CAPACITY", "-3", 1), 0);
-  EXPECT_EQ(default_service_capacity(), 4096u);
-  ASSERT_EQ(setenv("LUMICHAT_SERVICE_CAPACITY", "garbage", 1), 0);
-  EXPECT_EQ(default_service_capacity(), 4096u);
+  for (const char* bad : {"0", "-3", "garbage", "", "4x", "1e3", " 5", "+5",
+                          "99999999999999999999"}) {
+    ASSERT_EQ(setenv("LUMICHAT_SERVICE_CAPACITY", bad, 1), 0);
+    EXPECT_EQ(default_service_capacity(), 4096u) << '"' << bad << '"';
+  }
   ASSERT_EQ(unsetenv("LUMICHAT_SERVICE_CAPACITY"), 0);
   EXPECT_EQ(default_service_capacity(), 4096u);
 }
@@ -248,27 +266,89 @@ TEST(SessionManager, StageLatenciesRecordedPerCompletedFrame) {
 
   // Every drained frame contributes one queue-wait and one detect sample;
   // push_to_verdict only fires on window completion.
-  EXPECT_EQ(m.metrics().queue_wait().count(), 20u);
-  EXPECT_EQ(m.metrics().detect().count(), 20u);
-  EXPECT_EQ(m.metrics().push_to_verdict().count(), 1u);
+  const obs::RegistrySnapshot s = m.metrics().snapshot();
+  EXPECT_EQ(histogram_count(s, "service.stage.queue_wait"), 20u);
+  EXPECT_EQ(histogram_count(s, "service.stage.detect"), 20u);
+  EXPECT_EQ(histogram_count(s, "service.push_to_verdict"), 1u);
+}
 
-  // And the generic registry export carries the same stage histograms.
-  const obs::RegistrySnapshot s = m.metrics().registry_snapshot(
-      static_cast<std::uint64_t>(m.active_sessions()));
-  bool saw_queue_wait = false;
-  bool saw_detect = false;
-  for (const auto& h : s.histograms) {
-    if (h.name == "service.stage.queue_wait") {
-      saw_queue_wait = true;
-      EXPECT_EQ(h.count, 20u);
-    }
-    if (h.name == "service.stage.detect") {
-      saw_detect = true;
-      EXPECT_EQ(h.count, 20u);
-    }
+TEST(SessionManager, ServiceInstrumentsFollowTheSessionLifecycle) {
+  SessionManager m(small_config(/*max_sessions=*/2, /*queue_capacity=*/4),
+                   test_streaming_config(), trained_registry());
+  FrameScheduler scheduler(nullptr);
+  m.attach_scheduler(&scheduler);
+  // The constructor resolved every instrument; nothing below looks one up.
+  const std::uint64_t lookups = m.metrics().lookup_count();
+
+  const auto a = m.create();
+  const auto b = m.create();
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_FALSE(m.create().has_value());  // admission reject
+
+  // One full window, fed four frames (one queue's worth) per pump.
+  for (std::size_t tick = 0; tick < 20; tick += 4) {
+    EXPECT_EQ(feed_wave(m, *a, 4, tick), 4u);
+    EXPECT_EQ(scheduler.pump(), 4u);
   }
-  EXPECT_TRUE(saw_queue_wait);
-  EXPECT_TRUE(saw_detect);
+  // Six more without a pump: the 4-slot queue sheds its two oldest, then
+  // eviction discards the four still queued.
+  EXPECT_EQ(feed_wave(m, *a, 6, 20), 6u);
+  const auto closed = m.evict(*a);
+  ASSERT_TRUE(closed.has_value());
+  ASSERT_EQ(closed->window_verdicts.size(), 1u);
+  const WindowVerdict& w = closed->window_verdicts[0];
+  EXPECT_EQ(m.metrics().lookup_count(), lookups);
+
+  const MetricsSnapshot snap = m.metrics_snapshot();
+  EXPECT_EQ(snap.sessions_created, 2u);
+  EXPECT_EQ(snap.sessions_rejected, 1u);
+  EXPECT_EQ(snap.sessions_evicted, 1u);
+  EXPECT_EQ(snap.sessions_active, 1u);
+  EXPECT_EQ(snap.frames_in, 26u);
+  EXPECT_EQ(snap.frames_dropped, 6u);
+  EXPECT_EQ(snap.frames_processed, 20u);
+  EXPECT_EQ(snap.windows_completed, 1u);
+  EXPECT_EQ(snap.verdicts_legit,
+            w.verdict == core::Verdict::kLegitimate ? 1u : 0u);
+  EXPECT_EQ(snap.verdicts_attacker,
+            w.verdict == core::Verdict::kAttacker ? 1u : 0u);
+  EXPECT_EQ(snap.verdicts_abstain,
+            w.verdict == core::Verdict::kAbstain ? 1u : 0u);
+  // One latency sample: every bucket quantile is its bucket's midpoint,
+  // and the exact mean and max are the sample itself.
+  EXPECT_GT(snap.latency_p50_s, 0.0);
+  EXPECT_DOUBLE_EQ(snap.latency_p95_s, snap.latency_p50_s);
+  EXPECT_DOUBLE_EQ(snap.latency_p99_s, snap.latency_p50_s);
+  EXPECT_DOUBLE_EQ(snap.latency_p999_s, snap.latency_p50_s);
+  EXPECT_DOUBLE_EQ(snap.latency_mean_s, w.push_to_verdict_s);
+  EXPECT_DOUBLE_EQ(snap.latency_max_s, w.push_to_verdict_s);
+
+  // The registry holds the same values under the exported service.* names.
+  const obs::RegistrySnapshot s = m.metrics().snapshot();
+  EXPECT_EQ(s.counters.size(), 10u);
+  EXPECT_EQ(s.histograms.size(), 3u);
+  EXPECT_TRUE(s.gauges.empty());
+  EXPECT_EQ(counter_value(s, "service.sessions_created"),
+            snap.sessions_created);
+  EXPECT_EQ(counter_value(s, "service.sessions_rejected"),
+            snap.sessions_rejected);
+  EXPECT_EQ(counter_value(s, "service.sessions_evicted"),
+            snap.sessions_evicted);
+  EXPECT_EQ(counter_value(s, "service.frames_in"), snap.frames_in);
+  EXPECT_EQ(counter_value(s, "service.frames_dropped"), snap.frames_dropped);
+  EXPECT_EQ(counter_value(s, "service.frames_processed"),
+            snap.frames_processed);
+  EXPECT_EQ(counter_value(s, "service.windows_completed"),
+            snap.windows_completed);
+  EXPECT_EQ(counter_value(s, "service.verdicts_legit"), snap.verdicts_legit);
+  EXPECT_EQ(counter_value(s, "service.verdicts_attacker"),
+            snap.verdicts_attacker);
+  EXPECT_EQ(counter_value(s, "service.verdicts_abstain"),
+            snap.verdicts_abstain);
+  EXPECT_EQ(histogram_count(s, "service.push_to_verdict"), 1u);
+  EXPECT_EQ(histogram_count(s, "service.stage.queue_wait"), 20u);
+  EXPECT_EQ(histogram_count(s, "service.stage.detect"), 20u);
 }
 
 TEST(SessionManager, ShardSessionCountsSumToActive) {

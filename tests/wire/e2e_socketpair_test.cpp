@@ -120,19 +120,5 @@ TEST(WireEndToEnd, SocketRunIsDeterministicAcrossThreadCounts) {
   expect_bit_identical(serial, threaded);
 }
 
-TEST(WireEndToEnd, PollBackendMatchesDefaultBackend) {
-  const service::LoadSpec spec = e2e_spec();
-  const service::ServiceConfig service_cfg = e2e_service_config();
-  const core::StreamingConfig streaming = test_streaming_config();
-
-  SocketLoadOptions poll_backend;
-  poll_backend.backend = Backend::kPoll;
-  const service::LoadReport via_poll = run_socket_load(
-      spec, service_cfg, streaming, trained_registry(), poll_backend);
-  const service::LoadReport via_default = run_socket_load(
-      spec, service_cfg, streaming, trained_registry(), SocketLoadOptions{});
-  expect_bit_identical(via_poll, via_default);
-}
-
 }  // namespace
 }  // namespace lumichat::wire

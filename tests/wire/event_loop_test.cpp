@@ -1,7 +1,8 @@
-// EventLoop readiness semantics, exercised identically against both
-// backends (epoll where available, poll everywhere) over socketpairs.
+// EventLoop readiness semantics over socketpairs.
 #include <cstdint>
+#include <system_error>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -27,24 +28,30 @@ struct Pair {
   }
 };
 
-class EventLoopBackends : public ::testing::TestWithParam<Backend> {};
-
-TEST_P(EventLoopBackends, ConstructsWithRequestedBackend) {
-  EventLoop loop(GetParam());
-#ifdef __linux__
-  EXPECT_EQ(loop.backend(), GetParam());
-#else
-  EXPECT_EQ(loop.backend(), Backend::kPoll);
-#endif
+TEST(EventLoop, StartsWithNothingWatched) {
+  const EventLoop loop;
+  EXPECT_EQ(loop.watched(), 0u);
 }
 
-TEST_P(EventLoopBackends, WaitWithNothingRegisteredReturnsZero) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, ThrowsWhenEpollCannotBeCreated) {
+  // With a descriptor limit of 0 no new fd can be allocated, so
+  // epoll_create1 fails with EMFILE.
+  ::rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  ::rlimit none = saved;
+  none.rlim_cur = 0;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &none), 0);
+  EXPECT_THROW({ const EventLoop loop; }, std::system_error);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+}
+
+TEST(EventLoop, WaitWithNothingRegisteredReturnsZero) {
+  EventLoop loop;
   EXPECT_EQ(loop.wait(0), 0u);
 }
 
-TEST_P(EventLoopBackends, ReportsReadableAfterPeerWrite) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, ReportsReadableAfterPeerWrite) {
+  EventLoop loop;
   Pair p;
   ASSERT_TRUE(loop.add(p.a, /*want_read=*/true, /*want_write=*/false));
   EXPECT_EQ(loop.watched(), 1u);
@@ -60,8 +67,8 @@ TEST_P(EventLoopBackends, ReportsReadableAfterPeerWrite) {
   EXPECT_FALSE(loop.event(0).writable);
 }
 
-TEST_P(EventLoopBackends, LevelTriggeredUntilDrained) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, LevelTriggeredUntilDrained) {
+  EventLoop loop;
   Pair p;
   ASSERT_TRUE(loop.add(p.a, true, false));
   const std::uint8_t byte = 1;
@@ -74,8 +81,8 @@ TEST_P(EventLoopBackends, LevelTriggeredUntilDrained) {
   EXPECT_EQ(loop.wait(0), 0u);
 }
 
-TEST_P(EventLoopBackends, WritableInterestReportsIdleSocket) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, WritableInterestReportsIdleSocket) {
+  EventLoop loop;
   Pair p;
   ASSERT_TRUE(loop.add(p.a, false, true));
   const std::size_t n = loop.wait(0);
@@ -83,8 +90,8 @@ TEST_P(EventLoopBackends, WritableInterestReportsIdleSocket) {
   EXPECT_TRUE(loop.event(0).writable);
 }
 
-TEST_P(EventLoopBackends, ModifySwitchesInterestSet) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, ModifySwitchesInterestSet) {
+  EventLoop loop;
   Pair p;
   ASSERT_TRUE(loop.add(p.a, false, true));
   ASSERT_EQ(loop.wait(0), 1u);
@@ -95,8 +102,8 @@ TEST_P(EventLoopBackends, ModifySwitchesInterestSet) {
   EXPECT_EQ(loop.wait(100), 1u);
 }
 
-TEST_P(EventLoopBackends, RemoveStopsReporting) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, RemoveStopsReporting) {
+  EventLoop loop;
   Pair p;
   ASSERT_TRUE(loop.add(p.a, true, false));
   ASSERT_TRUE(loop.remove(p.a));
@@ -107,29 +114,29 @@ TEST_P(EventLoopBackends, RemoveStopsReporting) {
   EXPECT_FALSE(loop.remove(p.a));  // already gone
 }
 
-TEST_P(EventLoopBackends, DuplicateAddRejected) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, DuplicateAddRejected) {
+  EventLoop loop;
   Pair p;
   ASSERT_TRUE(loop.add(p.a, true, false));
   EXPECT_FALSE(loop.add(p.a, true, false));
   EXPECT_EQ(loop.watched(), 1u);
 }
 
-TEST_P(EventLoopBackends, HangupSurfacesAsErrorOrReadable) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, HangupSurfacesAsErrorOrReadable) {
+  EventLoop loop;
   Pair p;
   ASSERT_TRUE(loop.add(p.a, true, false));
   ::close(p.b);
   p.b = -1;
   const std::size_t n = loop.wait(100);
   ASSERT_EQ(n, 1u);
-  // A closed peer shows up as EPOLLHUP/POLLHUP (error) and/or a readable
+  // A closed peer shows up as EPOLLHUP (error) and/or a readable
   // EOF; either way the owner learns the connection is dead.
   EXPECT_TRUE(loop.event(0).error || loop.event(0).readable);
 }
 
-TEST_P(EventLoopBackends, TracksManyFds) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, TracksManyFds) {
+  EventLoop loop;
   constexpr std::size_t kPairs = 20;
   Pair pairs[kPairs];
   for (auto& p : pairs) ASSERT_TRUE(loop.add(p.a, true, false));
@@ -142,29 +149,6 @@ TEST_P(EventLoopBackends, TracksManyFds) {
     ++expected;
   }
   EXPECT_EQ(loop.wait(100), expected);
-}
-
-#ifdef __linux__
-INSTANTIATE_TEST_SUITE_P(BothBackends, EventLoopBackends,
-                         ::testing::Values(Backend::kEpoll, Backend::kPoll),
-                         [](const auto& param_info) {
-                           return param_info.param == Backend::kEpoll
-                                      ? "epoll"
-                                      : "poll";
-                         });
-#else
-INSTANTIATE_TEST_SUITE_P(PollBackend, EventLoopBackends,
-                         ::testing::Values(Backend::kPoll),
-                         [](const auto&) { return std::string("poll"); });
-#endif
-
-TEST(EventLoopDefaults, EnvironmentForcesPollBackend) {
-  ::setenv("LUMICHAT_WIRE_POLL", "1", 1);
-  EXPECT_EQ(EventLoop::default_backend(), Backend::kPoll);
-  ::unsetenv("LUMICHAT_WIRE_POLL");
-#ifdef __linux__
-  EXPECT_EQ(EventLoop::default_backend(), Backend::kEpoll);
-#endif
 }
 
 }  // namespace
