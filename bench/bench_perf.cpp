@@ -7,6 +7,9 @@
 // implementation of each stage, plus the cost of the observability layer
 // itself: BM_ObsSpanDisabled vs BM_ObsSpanEnabled, and the full detect path
 // traced vs untraced (the <1%-when-off claim in DESIGN.md §Observability).
+// BM_StdNormalFill, BM_CameraCapture96x72, BM_CodecTranscode96x72 and
+// BM_ChatTick time the chat simulator that produces the frames
+// (bench/BENCH_render.json).
 //
 //   ./bench_perf --trace-out perf.trace.json   # also emit a Chrome trace
 //                                              # (or LUMICHAT_TRACE=path)
@@ -14,6 +17,7 @@
 //                                             # timings + bit-equality gate
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -21,9 +25,12 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "chat/codec.hpp"
+#include "common/rng.hpp"
 #include "core/detector.hpp"
 #include "core/luminance_extractor.hpp"
 #include "core/preprocess.hpp"
@@ -35,6 +42,7 @@
 #include "obs/trace.hpp"
 #include "optics/camera.hpp"
 #include "model/snapshot.hpp"
+#include "service/load_generator.hpp"
 #include "simd/dispatch.hpp"
 
 namespace {
@@ -195,6 +203,85 @@ void BM_DetectFull15sClipTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectFull15sClipTraced)->Unit(benchmark::kMillisecond);
 
+// --- Chat-simulator render cost ---------------------------------------------
+//
+// The simulator, not the defense, dominates every end-to-end run that renders
+// chats (paperbench paper_eval set-up, the service load benches). These time
+// its hot path bottom-up on one 96x72 frame: the standard-normal fill behind
+// camera noise (20,736 draws), one camera capture, one codec transcode, and
+// one full chat tick (two captures and two transcodes plus rendering).
+// bench/BENCH_render.json records them before and after the batched fill and
+// the develop/codec kernels.
+
+constexpr std::size_t kFrameValues = 96 * 72 * 3;
+
+void BM_StdNormalFill(benchmark::State& state) {
+  common::Rng rng(7);
+  std::vector<double> out(kFrameValues);
+  for (auto _ : state) {
+    rng.std_normal_fill(out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_StdNormalFill)->Unit(benchmark::kMicrosecond);
+
+/// A radiometric 96x72 scene with per-pixel texture (what a camera meters
+/// and develops) and two 8-bit frames of different mean (so the codec's
+/// rate-control noise path runs on every transcode).
+struct RenderFixtures {
+  image::Image scene{96, 72};
+  image::Image frames[2] = {image::Image{96, 72}, image::Image{96, 72}};
+
+  RenderFixtures() {
+    for (std::size_t y = 0; y < 72; ++y) {
+      for (std::size_t x = 0; x < 96; ++x) {
+        const double t = static_cast<double>((x * 7 + y * 13) % 29) / 29.0;
+        scene(x, y) = {0.2 + 0.5 * t, 0.3 + 0.4 * t, 0.25 + 0.3 * t};
+        frames[0](x, y) = {60.0 + 120.0 * t, 70.0 + 100.0 * t, 50.0 + 90.0 * t};
+        frames[1](x, y) = {80.0 + 120.0 * t, 90.0 + 100.0 * t, 70.0 + 90.0 * t};
+      }
+    }
+  }
+};
+
+RenderFixtures& render_fixtures() {
+  static RenderFixtures f;
+  return f;
+}
+
+void BM_CameraCapture96x72(benchmark::State& state) {
+  const RenderFixtures& f = render_fixtures();
+  optics::CameraModel camera(optics::CameraSpec{}, 7);
+  for (auto _ : state) {
+    image::Image out = camera.capture(f.scene);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_CameraCapture96x72)->Unit(benchmark::kMicrosecond);
+
+void BM_CodecTranscode96x72(benchmark::State& state) {
+  const RenderFixtures& f = render_fixtures();
+  chat::VideoCodec codec(chat::CodecSpec{.compression = 0.25}, 7);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    image::Image out = codec.transcode(f.frames[k++ & 1]);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_CodecTranscode96x72)->Unit(benchmark::kMicrosecond);
+
+void BM_ChatTick(benchmark::State& state) {
+  const service::LoadSpec spec;  // full chat, 96x72, default codec
+  auto source = service::make_chat_source(spec, 0, /*attacker=*/false);
+  (void)source->next();  // the first call also runs the warm-up
+  for (auto _ : state) {
+    chat::FramePair pair = source->next();
+    benchmark::DoNotOptimize(pair.received.data());
+  }
+}
+BENCHMARK(BM_ChatTick)->Unit(benchmark::kMicrosecond);
+
 // --- SIMD kernel before/after ----------------------------------------------
 //
 // Per-kernel scalar-vs-AVX2 timings over hot-path-realistic sizes. Two
@@ -224,6 +311,19 @@ struct SimdData {
   // One full-size wire Frame message: 24-byte header + two 96x72 f64 RGB
   // planes + fixed fields, the span the server checksums per frame.
   std::vector<std::uint8_t> frame_msg;
+  // Chat-simulator inputs at frame size: a seeded engine and room for the
+  // 20,736 words it yields per frame, 20,736 engine words (10,368 polar
+  // candidates), a radiometric 96x72 plane with its noise draws
+  // (camera develop), and an 8-bit plane with per-value block DC and noise
+  // (codec blend-quantize).
+  std::mt19937_64 engine{7};
+  std::vector<std::uint64_t> word_out = std::vector<std::uint64_t>(kFrameValues);
+  std::vector<std::uint64_t> words;
+  std::vector<double> scene_rgb;
+  std::vector<double> noise_z;
+  std::vector<double> plane_8bit;
+  std::vector<double> block_dc;
+  std::vector<double> block_noise;
   image::Image frame{64, 64};
   // Fractional nasal-ROI-sized region: exercises boundary columns plus a
   // ~52-pixel dispatched interior run per row.
@@ -267,6 +367,23 @@ struct SimdData {
     for (double& v : q) v = next();
     frame_msg.resize(331832);
     for (auto& b : frame_msg) b = static_cast<std::uint8_t>(256.0 * next());
+    words.resize(kFrameValues);
+    for (auto& w : words) {
+      (void)next();
+      w = s;
+    }
+    scene_rgb.resize(kFrameValues);
+    noise_z.resize(kFrameValues);
+    plane_8bit.resize(kFrameValues);
+    block_dc.resize(kFrameValues);
+    block_noise.resize(kFrameValues);
+    for (std::size_t i = 0; i < kFrameValues; ++i) {
+      scene_rgb[i] = next();
+      noise_z[i] = 6.0 * next() - 3.0;
+      plane_8bit[i] = 255.0 * next();
+      block_dc[i] = 255.0 * next();
+      block_noise[i] = 4.0 * next() - 2.0;
+    }
   }
 };
 
@@ -320,6 +437,47 @@ std::vector<SimdWorkload> simd_workloads() {
          k.squared_dist4_batch(d.soa[0].data(), d.soa[1].data(),
                                d.soa[2].data(), d.soa[3].data(),
                                d.soa[0].size(), d.q, out);
+       }},
+      // Outputs: the words, bit for bit, from a fresh copy of one seeded
+      // engine per call (the 2.5 KB copy is part of the timing).
+      {"engine_words", kFrameValues,
+       [&d](const simd::Kernels& k, double* out) {
+         std::mt19937_64 engine = d.engine;
+         k.engine_words(engine, d.word_out.data(), kFrameValues);
+         std::memcpy(out, d.word_out.data(), kFrameValues * sizeof(double));
+       }},
+      // Outputs: the accepted count, then the compacted x, y, r2 arrays.
+      // Slots past the count are scratch, so they are zeroed for the gate.
+      {"polar_candidates", 1 + 3 * kFrameValues / 2,
+       [&d](const simd::Kernels& k, double* out) {
+         const std::size_t m = kFrameValues / 2;
+         const std::size_t got = k.polar_candidates(
+             d.words.data(), m, out + 1, out + 1 + m, out + 1 + 2 * m);
+         out[0] = static_cast<double>(got);
+         for (std::size_t a = 0; a < 3; ++a) {
+           std::fill(out + 1 + a * m + got, out + 1 + (a + 1) * m, 0.0);
+         }
+       }},
+      {"camera_develop_96x72", kFrameValues,
+       [&d](const simd::Kernels& k, double* out) {
+         simd::CameraDevelop p;
+         p.wb[0] = 1.02;
+         p.wb[1] = 1.0;
+         p.wb[2] = 0.97;
+         p.gain = 310.0;
+         p.read_var = 1.0;
+         p.shot_var = 0.06 * 0.06;
+         k.camera_develop(d.scene_rgb.data(), d.noise_z.data(),
+                          kFrameValues / 3, p, out);
+       }},
+      {"codec_blend_quantize_96x72", kFrameValues,
+       [&d](const simd::Kernels& k, double* out) {
+         simd::CodecBlend p;
+         p.keep = 1.0 - 0.6 * 0.3;
+         p.mix = 0.6 * 0.3;
+         p.q = 6.0 * 0.3;
+         k.codec_blend_quantize(d.plane_8bit.data(), d.block_dc.data(),
+                                d.block_noise.data(), kFrameValues, p, out);
        }},
       // The CRC is an integer; it fits a double exactly, so the
       // bit-equality gate compares it like any other output.
@@ -414,12 +572,12 @@ int run_simd_json(const std::string& path) {
                     "    \"%s\": {\"scalar_ns\": %.1f, \"avx2_ns\": %.1f, "
                     "\"speedup\": %.2f}",
                     w.name, ns_s, ns_v, ns_s / ns_v);
-      std::fprintf(stderr, "[simd] %-24s scalar %10.1f ns  avx2 %10.1f ns  "
+      std::fprintf(stderr, "[simd] %-26s scalar %10.1f ns  avx2 %10.1f ns  "
                    "speedup %5.2fx\n", w.name, ns_s, ns_v, ns_s / ns_v);
     } else {
       std::snprintf(buf, sizeof buf, "    \"%s\": {\"scalar_ns\": %.1f}",
                     w.name, ns_s);
-      std::fprintf(stderr, "[simd] %-24s scalar %10.1f ns (no AVX2)\n",
+      std::fprintf(stderr, "[simd] %-26s scalar %10.1f ns (no AVX2)\n",
                    w.name, ns_s);
     }
     if (!first) json += ",\n";

@@ -6,12 +6,20 @@
 // components can be given decorrelated streams derived from that seed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
 namespace lumichat::common {
 
 /// Thin wrapper over std::mt19937_64 with convenience draws.
+///
+/// Normal draws are owned here rather than by std::normal_distribution,
+/// whose algorithm the standard leaves unspecified: std_normal_fill() is a
+/// step for step copy of libstdc++'s Marsaglia polar method (same engine
+/// words, same IEEE operations, same saved second value), so seeded streams
+/// keep the bits they had when the simulator used the library distribution.
+/// gaussian() is a fill of one.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5EEDULL) : engine_(seed) {}
@@ -21,11 +29,19 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Normal draw. Reuses one persistent standard-normal distribution so the
-  /// per-pixel camera-noise path does not reconstruct distribution state.
+  /// Normal draw: mean + sigma * (one standard-normal draw).
   [[nodiscard]] double gaussian(double mean = 0.0, double sigma = 1.0) {
-    return mean + sigma * std_normal_(engine_);
+    double z;
+    std_normal_fill(&z, 1);
+    return mean + sigma * z;
   }
+
+  /// Writes n standard-normal draws to out: bit for bit the values, and the
+  /// engine position, of n draws of std::normal_distribution<double>{0, 1}.
+  /// The hot path of camera noise (rng.cpp batches the engine words and the
+  /// polar candidates through the SIMD kernel table and calls std::log over
+  /// the accepted ones).
+  void std_normal_fill(double* out, std::size_t n);
 
   /// Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::uint64_t uniform_int(std::uint64_t lo,
@@ -42,7 +58,8 @@ class Rng {
 
  private:
   std::mt19937_64 engine_;
-  std::normal_distribution<double> std_normal_{0.0, 1.0};
+  double saved_ = 0.0;  // second value of the last accepted pair
+  bool saved_available_ = false;
 };
 
 /// SplitMix64 step — used to derive decorrelated child seeds from a master

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "image/luminance.hpp"
+#include "simd/dispatch.hpp"
 
 namespace lumichat::optics {
 
@@ -110,27 +111,30 @@ image::Image CameraModel::capture(const image::Image& scene) {
   }
   ++frames_captured_;
 
+  // Develop every channel of every pixel (hot path: two captures per
+  // simulated chat tick). Read and shot noise are
+  // independent Gaussians, folded into one draw with the combined
+  // variance; the draws come in raster r,g,b order, a stack chunk at a
+  // time, exactly as one gaussian() call per channel would produce them.
+  simd::CameraDevelop develop;
+  develop.wb[0] = effective_wb.r;
+  develop.wb[1] = effective_wb.g;
+  develop.wb[2] = effective_wb.b;
+  develop.gain = effective_gain;
+  develop.read_var = spec_.read_noise_sigma * spec_.read_noise_sigma;
+  develop.shot_var = spec_.shot_noise_coeff * spec_.shot_noise_coeff;
+  develop.quantize = spec_.quantize;
+  const simd::Kernels& kernels = simd::active();
+  constexpr std::size_t kChunkPixels = 96;
+  double z[kChunkPixels * 3];
   image::Image out(scene.width(), scene.height());
-  for (std::size_t y = 0; y < scene.height(); ++y) {
-    for (std::size_t x = 0; x < scene.width(); ++x) {
-      const image::Pixel& p = scene(x, y);
-      auto develop = [&](double v) {
-        double lsb = v * effective_gain;
-        // Read and shot noise are independent Gaussians; fold them into one
-        // draw with the combined variance (hot path: every channel of every
-        // pixel of every simulated frame passes through here).
-        const double sigma =
-            std::sqrt(spec_.read_noise_sigma * spec_.read_noise_sigma +
-                      spec_.shot_noise_coeff * spec_.shot_noise_coeff *
-                          std::max(0.0, lsb));
-        lsb += rng_.gaussian(0.0, sigma);
-        lsb = std::clamp(lsb, 0.0, kFullScale);
-        return spec_.quantize ? std::round(lsb) : lsb;
-      };
-      out(x, y) = image::Pixel{develop(p.r * effective_wb.r),
-                               develop(p.g * effective_wb.g),
-                               develop(p.b * effective_wb.b)};
-    }
+  const auto* src = reinterpret_cast<const double*>(scene.data());
+  auto* dst = reinterpret_cast<double*>(out.data());
+  const std::size_t npix = scene.pixels().size();
+  for (std::size_t p = 0; p < npix; p += kChunkPixels) {
+    const std::size_t m = std::min(kChunkPixels, npix - p);
+    rng_.std_normal_fill(z, m * 3);
+    kernels.camera_develop(src + p * 3, z, m, develop, dst + p * 3);
   }
   return out;
 }

@@ -4,9 +4,12 @@
 // raw pixels, the FIR/Savitzky–Golay convolution chain, delay compensation /
 // resampling, the Pearson trend statistics, and the 4-D LOF distance scans —
 // bottoms out in one of the kernels below, as does the CRC-32 that seals
-// every wire message (src/wire/crc32.hpp). Each kernel has two
-// implementations (scalar and AVX2) selected once at startup (see
-// dispatch.hpp), and the two must agree BIT FOR BIT on every input.
+// every wire message (src/wire/crc32.hpp). So do the chat simulator's two
+// per-pixel loops, camera develop and codec blend-quantize, and the
+// engine-word and candidate steps of its standard-normal draws. Each
+// kernel has two implementations (scalar and AVX2) selected once at
+// startup (see dispatch.hpp), and the two must agree BIT FOR BIT on every
+// input.
 //
 // Determinism contract (what makes bit-equality possible):
 //
@@ -16,6 +19,11 @@
 //    AVX2 path merely computes 4 outputs per instruction. Their results are
 //    also bit-identical to the pre-SIMD per-sample loops they replaced.
 //
+//    camera_develop and codec_blend_quantize belong to this class too:
+//    std::clamp and std::max keep their compare-and-select semantics on
+//    signed zeros and NaN, and std::round (half away from zero) is
+//    rebuilt from truncation, so .5 ties and results of -0.0 match.
+//
 //  * Reductions (sum, sum_sq_diff, pearson_accumulate, luminance_row_sum,
 //    rgb_channel_sums) use a canonical widen-then-reduce order: the main
 //    body is accumulated into W independent lanes (lane j takes elements
@@ -24,6 +32,14 @@
 //    path emulates the W lanes with W scalar accumulators, so the order is
 //    identical by construction. W is 4 for plain double reductions and 12
 //    (three 4-lane registers over interleaved r,g,b) for pixel reductions.
+//
+//  * engine_words is integer arithmetic: both paths run the same
+//    std::mt19937_64 code (the AVX2 one compiled for AVX2), so they yield
+//    the same words and leave the engine in the same state.
+//
+//  * polar_candidates compacts the accepted candidates of a rejection
+//    sampler; the u64 -> double conversion (hi·2³² + lo, one rounding)
+//    and the accept test are exact, so both paths keep the same set.
 //
 //  * crc32_update is integer arithmetic over GF(2): any correct
 //    implementation returns the same bits, so the two paths differ only in
@@ -41,6 +57,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <random>
 
 namespace lumichat::simd {
 
@@ -50,6 +67,22 @@ struct PearsonSums {
   double sxy = 0.0;
   double sxx = 0.0;
   double syy = 0.0;
+};
+
+/// Per-frame constants of Kernels::camera_develop (optics::CameraModel).
+struct CameraDevelop {
+  double wb[3] = {1.0, 1.0, 1.0};  ///< white-balance gain per r, g, b
+  double gain = 0.0;               ///< exposure gain, LSB per unit
+  double read_var = 0.0;           ///< read_noise_sigma²
+  double shot_var = 0.0;           ///< shot_noise_coeff²
+  bool quantize = true;            ///< round to integer LSB
+};
+
+/// Per-frame constants of Kernels::codec_blend_quantize (chat::VideoCodec).
+struct CodecBlend {
+  double keep = 1.0;  ///< weight of the original detail, 1 - 0.6·stress
+  double mix = 0.0;   ///< weight of the block DC, 0.6·stress
+  double q = 0.0;     ///< quantisation step; applied only when q > 0.5
 };
 
 /// One resolved kernel table. Obtain via simd::active() (runtime dispatch),
@@ -118,6 +151,40 @@ struct Kernels {
   /// calls over consecutive spans equal one call over their concatenation.
   std::uint32_t (*crc32_update)(std::uint32_t state, const std::uint8_t* data,
                                 std::size_t len);
+
+  /// Writes n consecutive words of `engine` to out, exactly as n calls of
+  /// engine() would, and leaves the engine where those calls leave it. The
+  /// word source of common::Rng::std_normal_fill.
+  void (*engine_words)(std::mt19937_64& engine, std::uint64_t* out,
+                       std::size_t n);
+
+  /// Candidate step of the Marsaglia polar method, the part of
+  /// common::Rng::std_normal_fill that runs per engine word. Candidate j
+  /// maps words u[2j] and u[2j+1] to uniforms the way
+  /// std::generate_canonical<double, 53> does on std::mt19937_64
+  /// (hi·2³² + lo, times 2⁻⁶⁴, clamped to nextafter(1, 0)), then forms
+  /// x = 2u-1, y = 2u-1, r2 = x*x + y*y. The candidates that pass
+  /// !(r2 > 1 || r2 == 0) are written, compacted and in order, to
+  /// xs/ys/r2s, which need room for m elements; returns how many passed.
+  std::size_t (*polar_candidates)(const std::uint64_t* u, std::size_t m,
+                                  double* xs, double* ys, double* r2s);
+
+  /// Camera develop over `npix` interleaved r,g,b triples, with z holding
+  /// one standard-normal draw per output. Per output c of channel k:
+  ///   lsb = (rgb[c]*wb[k]) * gain;
+  ///   sigma = sqrt(read_var + shot_var * std::max(0.0, lsb));
+  ///   lsb += 0.0 + sigma*z[c];  lsb = std::clamp(lsb, 0.0, 255.0);
+  ///   out[c] = quantize ? std::round(lsb) : lsb.
+  void (*camera_develop)(const double* rgb, const double* z, std::size_t npix,
+                         const CameraDevelop& p, double* out);
+
+  /// Codec blend-quantize over n values with per-value block DC and block
+  /// noise:  m = v[i]*keep + dc[i]*mix;  m += noise[i];
+  ///   if (q > 0.5) m = std::round(m / q) * q;
+  ///   out[i] = std::clamp(m, 0.0, 255.0).
+  void (*codec_blend_quantize)(const double* v, const double* dc,
+                               const double* noise, std::size_t n,
+                               const CodecBlend& p, double* out);
 
   /// Human-readable name of this table ("scalar" / "avx2").
   const char* name;

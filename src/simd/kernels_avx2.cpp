@@ -292,6 +292,181 @@ void squared_dist4_batch_avx2(const double* xs, const double* ys,
   }
 }
 
+/// Left-pack permutations for _mm256_permutevar8x32_epi32: row `mask`
+/// moves the 64-bit lanes whose bit is set in `mask` to the front, in
+/// order (as dword index pairs 2k, 2k+1); the unused tail repeats lane 0.
+struct PackTable {
+  alignas(32) std::int32_t idx[16][8];
+};
+
+consteval PackTable make_pack_table() {
+  PackTable t{};
+  for (int mask = 0; mask < 16; ++mask) {
+    int out = 0;
+    for (int lane = 0; lane < 4; ++lane) {
+      if ((mask >> lane) & 1) {
+        t.idx[mask][2 * out] = 2 * lane;
+        t.idx[mask][2 * out + 1] = 2 * lane + 1;
+        ++out;
+      }
+    }
+  }
+  return t;
+}
+
+constexpr PackTable kPackTable = make_pack_table();
+
+/// Exact u64 -> double per lane as hi·2³² + lo: each 32-bit half becomes
+/// a double exactly (OR-ed under the exponent of 2⁵², then 2⁵²
+/// subtracted), the scale by 2³² is exact, and the add rounds once — the
+/// same bits as static_cast<double>(u).
+__m256d u64_to_double(__m256i u) {
+  const __m256i magic_bits = _mm256_set1_epi64x(0x4330000000000000LL);
+  const __m256d magic = _mm256_set1_pd(0x1p52);
+  const __m256d lo = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_blend_epi32(u, magic_bits, 0xAA)), magic);
+  const __m256d hi = _mm256_sub_pd(
+      _mm256_castsi256_pd(
+          _mm256_or_si256(_mm256_srli_epi64(u, 32), magic_bits)),
+      magic);
+  return _mm256_add_pd(_mm256_mul_pd(hi, _mm256_set1_pd(0x1p32)), lo);
+}
+
+/// detail::canonical_uniform per lane, then 2u - 1.
+__m256d polar_coordinate(__m256i u) {
+  const __m256d r = _mm256_mul_pd(u64_to_double(u), _mm256_set1_pd(0x1p-64));
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d canon = _mm256_blendv_pd(
+      r, _mm256_set1_pd(detail::kBelowOne), _mm256_cmp_pd(r, one, _CMP_GE_OQ));
+  return _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), canon), one);
+}
+
+std::size_t polar_candidates_avx2(const std::uint64_t* u, std::size_t m,
+                                  double* xs, double* ys, double* r2s) {
+  const std::size_t m4 = m - m % 4;
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t count = 0;
+  for (std::size_t j = 0; j < m4; j += 4) {
+    // Words x0 y0 x1 y1 | x2 y2 x3 y3 -> x0..x3 and y0..y3.
+    const __m256i a =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(u + 2 * j));
+    const __m256i b =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(u + 2 * j + 4));
+    const __m256i xw = _mm256_permute4x64_epi64(_mm256_unpacklo_epi64(a, b),
+                                                0xD8);
+    const __m256i yw = _mm256_permute4x64_epi64(_mm256_unpackhi_epi64(a, b),
+                                                0xD8);
+    const __m256d x = polar_coordinate(xw);
+    const __m256d y = polar_coordinate(yw);
+    const __m256d r2 = _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y));
+    const __m256d reject = _mm256_or_pd(_mm256_cmp_pd(r2, one, _CMP_GT_OQ),
+                                        _mm256_cmp_pd(r2, zero, _CMP_EQ_OQ));
+    const int keep = ~_mm256_movemask_pd(reject) & 0xF;
+    // count + 4 <= j + 4 <= m: the full-width stores stay inside the
+    // caller's m-element outputs.
+    const __m256i perm = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kPackTable.idx[keep]));
+    auto pack = [perm](__m256d v) {
+      return _mm256_castsi256_pd(
+          _mm256_permutevar8x32_epi32(_mm256_castpd_si256(v), perm));
+    };
+    _mm256_storeu_pd(xs + count, pack(x));
+    _mm256_storeu_pd(ys + count, pack(y));
+    _mm256_storeu_pd(r2s + count, pack(r2));
+    count += static_cast<std::size_t>(__builtin_popcount(
+        static_cast<unsigned>(keep)));
+  }
+  for (std::size_t j = m4; j < m; ++j) {
+    count = detail::polar_candidate_one(u, j, xs, ys, r2s, count);
+  }
+  return count;
+}
+
+/// std::max(a, b) per lane, (a < b) ? b : a. Compare-and-blend, not
+/// max_pd, so signed zeros and NaN select exactly as <algorithm> does.
+__m256d std_max(__m256d a, __m256d b) {
+  return _mm256_blendv_pd(a, b, _mm256_cmp_pd(a, b, _CMP_LT_OQ));
+}
+
+/// std::min(a, b) per lane, (b < a) ? b : a.
+__m256d std_min(__m256d a, __m256d b) {
+  return _mm256_blendv_pd(a, b, _mm256_cmp_pd(b, a, _CMP_LT_OQ));
+}
+
+/// std::clamp(v, 0, 255), which libstdc++ defines as min(max(v, lo), hi).
+__m256d clamp_full_scale(__m256d v) {
+  return std_min(std_max(v, _mm256_setzero_pd()),
+                 _mm256_set1_pd(detail::kFullScale));
+}
+
+/// std::round per lane: half away from zero. t = trunc(v) is exact, so is
+/// v - t; step one unit away from zero when |v - t| >= 0.5. Keeps -0.0
+/// for v in (-0.5, -0] and passes NaN and infinities through.
+__m256d round_half_away(__m256d v) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d t = _mm256_round_pd(v, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m256d frac = _mm256_andnot_pd(sign, _mm256_sub_pd(v, t));
+  const __m256d step =
+      _mm256_or_pd(_mm256_and_pd(v, sign), _mm256_set1_pd(1.0));
+  return _mm256_blendv_pd(
+      t, _mm256_add_pd(t, step),
+      _mm256_cmp_pd(frac, _mm256_set1_pd(0.5), _CMP_GE_OQ));
+}
+
+void camera_develop_avx2(const double* rgb, const double* z, std::size_t npix,
+                         const CameraDevelop& p, double* out) {
+  // 4 pixels = 12 interleaved values = 3 registers; the white-balance
+  // pattern repeats every 12 lanes (as in luminance_row_sum).
+  const __m256d wb[3] = {
+      _mm256_setr_pd(p.wb[0], p.wb[1], p.wb[2], p.wb[0]),
+      _mm256_setr_pd(p.wb[1], p.wb[2], p.wb[0], p.wb[1]),
+      _mm256_setr_pd(p.wb[2], p.wb[0], p.wb[1], p.wb[2])};
+  const __m256d gain = _mm256_set1_pd(p.gain);
+  const __m256d read_var = _mm256_set1_pd(p.read_var);
+  const __m256d shot_var = _mm256_set1_pd(p.shot_var);
+  const __m256d zero = _mm256_setzero_pd();
+  const std::size_t groups = npix / 4;
+  for (std::size_t g = 0; g < groups; ++g) {
+    for (std::size_t r = 0; r < 3; ++r) {
+      const std::size_t i = g * 12 + r * 4;
+      __m256d lsb = _mm256_mul_pd(_mm256_mul_pd(_mm256_loadu_pd(rgb + i), wb[r]),
+                                  gain);
+      const __m256d sigma = _mm256_sqrt_pd(
+          _mm256_add_pd(read_var, _mm256_mul_pd(shot_var, std_max(zero, lsb))));
+      lsb = _mm256_add_pd(
+          lsb, _mm256_add_pd(zero, _mm256_mul_pd(sigma, _mm256_loadu_pd(z + i))));
+      lsb = clamp_full_scale(lsb);
+      _mm256_storeu_pd(out + i, p.quantize ? round_half_away(lsb) : lsb);
+    }
+  }
+  for (std::size_t i = groups * 12; i < npix * 3; i += 3) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      out[i + c] = detail::camera_develop_one(rgb[i + c], p.wb[c], z[i + c], p);
+    }
+  }
+}
+
+void codec_blend_quantize_avx2(const double* v, const double* dc,
+                               const double* noise, std::size_t n,
+                               const CodecBlend& p, double* out) {
+  const std::size_t n4 = n - n % 4;
+  const __m256d keep = _mm256_set1_pd(p.keep);
+  const __m256d mix = _mm256_set1_pd(p.mix);
+  const __m256d q = _mm256_set1_pd(p.q);
+  const bool quantize = p.q > 0.5;
+  for (std::size_t i = 0; i < n4; i += 4) {
+    __m256d m = _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(v + i), keep),
+                              _mm256_mul_pd(_mm256_loadu_pd(dc + i), mix));
+    m = _mm256_add_pd(m, _mm256_loadu_pd(noise + i));
+    if (quantize) m = _mm256_mul_pd(round_half_away(_mm256_div_pd(m, q)), q);
+    _mm256_storeu_pd(out + i, clamp_full_scale(m));
+  }
+  for (std::size_t i = n4; i < n; ++i) {
+    out[i] = detail::codec_blend_one(v[i], dc[i], noise[i], p);
+  }
+}
+
 /// CRC-32 of a 16-byte-multiple span of at least 64 bytes by carry-less
 /// folding (Gopal et al., "Fast CRC Computation for Generic Polynomials
 /// Using PCLMULQDQ Instruction", Intel 2009): four 128-bit lanes fold 64
@@ -379,6 +554,10 @@ const Kernels* avx2_kernels() {
       rgb_channel_sums_avx2,
       squared_dist4_batch_avx2,
       crc32_update_avx2,
+      detail::engine_words_avx2,
+      polar_candidates_avx2,
+      camera_develop_avx2,
+      codec_blend_quantize_avx2,
       "avx2",
   };
   return &table;

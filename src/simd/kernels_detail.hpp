@@ -15,6 +15,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "simd/kernels.hpp"
+
 namespace lumichat::simd::detail {
 
 /// One clamped-convolution output: ascending-k accumulation of
@@ -77,6 +79,64 @@ inline double squared_dist4_one(const double* xs, const double* ys,
   const double dw = q[3] - ws[i];
   acc += dw * dw;
   return acc;
+}
+
+/// Upper clamp of the simulator's 8-bit frames (camera develop, codec).
+inline constexpr double kFullScale = 255.0;
+
+/// std::nextafter(1.0, 0.0): generate_canonical's clamp for results >= 1.
+inline constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+
+/// One engine word as a uniform in [0, 1), the generate_canonical<double,
+/// 53> rule on std::mt19937_64: the word converted to double (hi·2³² + lo
+/// is exact until the single rounding of the add), times 2⁻⁶⁴.
+inline double canonical_uniform(std::uint64_t u) {
+  const double d =
+      static_cast<double>(static_cast<std::uint32_t>(u >> 32)) * 0x1p32 +
+      static_cast<double>(static_cast<std::uint32_t>(u));
+  const double r = d * 0x1p-64;
+  return r >= 1.0 ? kBelowOne : r;
+}
+
+/// Kernels::engine_words of the two tables (engine_words.cpp).
+void engine_words_scalar(std::mt19937_64& engine, std::uint64_t* out,
+                         std::size_t n);
+void engine_words_avx2(std::mt19937_64& engine, std::uint64_t* out,
+                       std::size_t n);
+
+/// Polar-method candidate j of the word pairs in u: stores it at index
+/// `count` of xs/ys/r2s unconditionally and returns count + 1 when it is
+/// accepted, count otherwise (branch-free compaction).
+inline std::size_t polar_candidate_one(const std::uint64_t* u, std::size_t j,
+                                       double* xs, double* ys, double* r2s,
+                                       std::size_t count) {
+  const double x = 2.0 * canonical_uniform(u[2 * j]) - 1.0;
+  const double y = 2.0 * canonical_uniform(u[2 * j + 1]) - 1.0;
+  const double r2 = x * x + y * y;
+  xs[count] = x;
+  ys[count] = y;
+  r2s[count] = r2;
+  return count + static_cast<std::size_t>(!(r2 > 1.0 || r2 == 0.0));
+}
+
+/// One camera-develop output (see Kernels::camera_develop): the
+/// CameraModel::capture per-channel step with its noise draw z.
+inline double camera_develop_one(double v, double wb, double z,
+                                 const CameraDevelop& p) {
+  double lsb = (v * wb) * p.gain;
+  const double sigma = std::sqrt(p.read_var + p.shot_var * std::max(0.0, lsb));
+  lsb += 0.0 + sigma * z;
+  lsb = std::clamp(lsb, 0.0, kFullScale);
+  return p.quantize ? std::round(lsb) : lsb;
+}
+
+/// One codec blend-quantize output (see Kernels::codec_blend_quantize).
+inline double codec_blend_one(double v, double dc, double noise,
+                              const CodecBlend& p) {
+  double mixed = v * p.keep + dc * p.mix;
+  mixed += noise;
+  if (p.q > 0.5) mixed = std::round(mixed / p.q) * p.q;
+  return std::clamp(mixed, 0.0, kFullScale);
 }
 
 /// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320,

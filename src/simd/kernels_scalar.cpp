@@ -6,6 +6,7 @@
 // also the portable fallback selected on CPUs without AVX2 (or with
 // LUMICHAT_SIMD=scalar).
 #include <cstddef>
+#include <cstdint>
 
 #include "simd/kernels.hpp"
 #include "simd/kernels_detail.hpp"
@@ -179,6 +180,33 @@ void squared_dist4_batch_scalar(const double* xs, const double* ys,
   }
 }
 
+std::size_t polar_candidates_scalar(const std::uint64_t* u, std::size_t m,
+                                   double* xs, double* ys, double* r2s) {
+  std::size_t count = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    count = detail::polar_candidate_one(u, j, xs, ys, r2s, count);
+  }
+  return count;
+}
+
+void camera_develop_scalar(const double* rgb, const double* z,
+                           std::size_t npix, const CameraDevelop& p,
+                           double* out) {
+  for (std::size_t i = 0; i < npix * 3; i += 3) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      out[i + c] = detail::camera_develop_one(rgb[i + c], p.wb[c], z[i + c], p);
+    }
+  }
+}
+
+void codec_blend_quantize_scalar(const double* v, const double* dc,
+                                 const double* noise, std::size_t n,
+                                 const CodecBlend& p, double* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = detail::codec_blend_one(v[i], dc[i], noise[i], p);
+  }
+}
+
 }  // namespace
 
 const Kernels& scalar_kernels() {
@@ -194,6 +222,10 @@ const Kernels& scalar_kernels() {
       rgb_channel_sums_scalar,
       squared_dist4_batch_scalar,
       detail::crc32_slice8,
+      detail::engine_words_scalar,
+      polar_candidates_scalar,
+      camera_develop_scalar,
+      codec_blend_quantize_scalar,
       "scalar",
   };
   return table;

@@ -1,5 +1,11 @@
 #include "chat/codec.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "image/luminance.hpp"
@@ -98,6 +104,110 @@ TEST(Codec, DeterministicForSeed) {
   const image::Image fb = b.transcode(in);
   for (std::size_t i = 0; i < fa.pixels().size(); ++i) {
     EXPECT_EQ(fa.pixels()[i], fb.pixels()[i]);
+  }
+}
+
+// The per-pixel transcode loop that the block-row kernel path replaced,
+// with its block noise drawn from the library distribution, one draw per
+// block in raster block order.
+struct ReferenceCodec {
+  ReferenceCodec(CodecSpec s, std::uint64_t seed) : spec(s), engine(seed) {}
+
+  image::Image transcode(const image::Image& frame) {
+    const double c = std::clamp(spec.compression, 0.0, 1.0);
+    const double mean = image::frame_luminance(frame);
+    const double motion =
+        prev_mean < 0.0 ? 0.0 : std::fabs(mean - prev_mean) / 255.0;
+    prev_mean = mean;
+    const double stress = std::min(1.0, c + 2.0 * c * motion);
+    const auto block = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::lround(
+               static_cast<double>(spec.block_size) * stress)));
+    const double q = spec.quant_step * stress;
+    image::Image out(frame.width(), frame.height());
+    for (std::size_t by = 0; by < frame.height(); by += block) {
+      for (std::size_t bx = 0; bx < frame.width(); bx += block) {
+        const std::size_t x1 = std::min(bx + block, frame.width());
+        const std::size_t y1 = std::min(by + block, frame.height());
+        image::Pixel dc;
+        for (std::size_t y = by; y < y1; ++y) {
+          for (std::size_t x = bx; x < x1; ++x) dc += frame(x, y);
+        }
+        const double n = static_cast<double>((x1 - bx) * (y1 - by));
+        dc = dc * (1.0 / n);
+        const double block_noise =
+            motion > 0.0 ? 0.0 + spec.motion_noise * stress * normal(engine)
+                         : 0.0;
+        for (std::size_t y = by; y < y1; ++y) {
+          for (std::size_t x = bx; x < x1; ++x) {
+            auto develop = [&](double v, double dcv) {
+              double mixed = v * (1.0 - 0.6 * stress) + dcv * (0.6 * stress);
+              mixed += block_noise;
+              if (q > 0.5) mixed = std::round(mixed / q) * q;
+              return std::clamp(mixed, 0.0, 255.0);
+            };
+            const image::Pixel& p = frame(x, y);
+            out(x, y) = image::Pixel{develop(p.r, dc.r), develop(p.g, dc.g),
+                                     develop(p.b, dc.b)};
+          }
+        }
+      }
+    }
+    return out;
+  }
+
+  CodecSpec spec;
+  std::mt19937_64 engine;
+  std::normal_distribution<double> normal{0.0, 1.0};
+  double prev_mean = -1.0;
+};
+
+// Frames wider than the transcoder's 128-pixel stack segment, with block
+// sizes that divide neither the segment nor the frame, so segments are
+// flushed in the middle of a block and the last block row and column are
+// partial. Brightness alternates from frame to frame: every frame after the
+// first has motion, so block noise is drawn, across more than one batch of
+// the normal fill and with the saved second value carried between frames.
+TEST(Codec, WideFramesMatchPerPixelLoopBitwise) {
+#if !defined(__GLIBCXX__)
+  GTEST_SKIP() << "the normal draws mirror libstdc++'s normal_distribution";
+#endif
+  const std::size_t width = 301;
+  const std::size_t height = 37;
+  for (const double compression : {1.0, 0.35}) {
+    for (const std::size_t block_size : {7u, 9u}) {
+      const CodecSpec spec{.compression = compression,
+                           .block_size = block_size};
+      VideoCodec codec(spec, 17 + block_size);
+      ReferenceCodec ref(spec, 17 + block_size);
+      for (std::size_t f = 0; f < 6; ++f) {
+        image::Image in(width, height);
+        const double lift =
+            (f % 2 == 0) ? 0.0 : 40.0 + 10.0 * static_cast<double>(f);
+        for (std::size_t y = 0; y < height; ++y) {
+          for (std::size_t x = 0; x < width; ++x) {
+            const double t =
+                static_cast<double>((x * 31 + y * 17 + f) % 97) / 97.0;
+            in(x, y) = image::Pixel{lift + 200.0 * t, lift + 150.0 * t + 3.5,
+                                    lift + 260.0 * t - 2.5};
+          }
+        }
+        const image::Image got = codec.transcode(in);
+        const image::Image want = ref.transcode(in);
+        for (std::size_t i = 0; i < got.pixels().size(); ++i) {
+          const image::Pixel& g = got.pixels()[i];
+          const image::Pixel& w = want.pixels()[i];
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(g.r),
+                    std::bit_cast<std::uint64_t>(w.r))
+              << "c=" << compression << " block=" << block_size
+              << " frame " << f << " pixel " << i;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(g.g),
+                    std::bit_cast<std::uint64_t>(w.g));
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(g.b),
+                    std::bit_cast<std::uint64_t>(w.b));
+        }
+      }
+    }
   }
 }
 

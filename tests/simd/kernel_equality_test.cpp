@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "simd/dispatch.hpp"
+#include "render_kernel_inputs.hpp"
 
 namespace lumichat::simd {
 namespace {
@@ -229,6 +230,94 @@ TEST_F(KernelEquality, SquaredDist4Batch) {
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(bits(os[i]), bits(ov[i]))
             << "n=" << n << " off=" << off << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST_F(KernelEquality, PolarCandidates) {
+  std::uint64_t seed = 19;
+  for (std::size_t m : kLens) {
+    for (std::size_t off : kOffsets) {
+      const auto words = testing::edge_words(++seed, m, off);
+      std::vector<double> s[3];
+      std::vector<double> v[3];
+      for (auto& a : s) a.assign(m, 0.0);
+      for (auto& a : v) a.assign(m, 7.0);
+      const std::size_t ns = scalar_.polar_candidates(
+          words.data() + off, m, s[0].data(), s[1].data(), s[2].data());
+      const std::size_t nv = avx2_->polar_candidates(
+          words.data() + off, m, v[0].data(), v[1].data(), v[2].data());
+      ASSERT_EQ(ns, nv) << "m=" << m << " off=" << off;
+      for (std::size_t a = 0; a < 3; ++a) {
+        for (std::size_t i = 0; i < ns; ++i) {
+          ASSERT_EQ(bits(s[a][i]), bits(v[a][i]))
+              << "m=" << m << " off=" << off << " array=" << a << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelEquality, CameraDevelop) {
+  std::uint64_t seed = 20;
+  for (std::size_t npix : kLens) {
+    for (std::size_t off : kOffsets) {
+      for (const bool quantize : {true, false}) {
+        const auto rgb = testing::edge_values(++seed, npix * 3, off, -0.2, 1.2);
+        const auto z = testing::edge_values(++seed, npix * 3, off, -4.0, 4.0);
+        CameraDevelop p;
+        p.wb[0] = 1.03;
+        p.wb[1] = 1.0;
+        p.wb[2] = 0.96;
+        p.gain = 255.0 * 0.5 / 0.37;
+        p.read_var = 1.0;
+        p.shot_var = 0.06 * 0.06;
+        p.quantize = quantize;
+        std::vector<double> os(npix * 3, 0.0);
+        std::vector<double> ov(npix * 3, 7.0);
+        scalar_.camera_develop(rgb.data() + off, z.data() + off, npix, p,
+                               os.data());
+        avx2_->camera_develop(rgb.data() + off, z.data() + off, npix, p,
+                              ov.data());
+        for (std::size_t i = 0; i < npix * 3; ++i) {
+          ASSERT_TRUE(testing::same_bits(os[i], ov[i]))
+              << "npix=" << npix << " off=" << off << " q=" << quantize
+              << " i=" << i << " in=" << rgb[off + i] << " z=" << z[off + i];
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelEquality, CodecBlendQuantize) {
+  std::uint64_t seed = 21;
+  // q = 0 and 0.4 skip quantisation; at q = 1.0 the blend is the identity
+  // and the noise is zero, so the .5 ties and the values that round to -0.0
+  // reach std::round as they are.
+  const double steps[] = {0.0, 0.4, 1.0, 1.5, 6.0 * 0.3};
+  for (std::size_t n : kLens) {
+    for (std::size_t off : kOffsets) {
+      for (const double q : steps) {
+        const auto v = testing::edge_values(++seed, n, off, -20.0, 280.0);
+        const auto dc = testing::edge_values(++seed, n, off, 0.0, 255.0);
+        const auto noise =
+            q == 1.0 ? std::vector<double>(n + off, 0.0)
+                     : testing::edge_values(++seed, n, off, -3.0, 3.0);
+        CodecBlend p;
+        p.keep = q == 1.0 ? 1.0 : 1.0 - 0.6 * 0.3;
+        p.mix = q == 1.0 ? 0.0 : 0.6 * 0.3;
+        p.q = q;
+        std::vector<double> os(n, 0.0);
+        std::vector<double> ov(n, 7.0);
+        scalar_.codec_blend_quantize(v.data() + off, dc.data() + off,
+                                     noise.data() + off, n, p, os.data());
+        avx2_->codec_blend_quantize(v.data() + off, dc.data() + off,
+                                    noise.data() + off, n, p, ov.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(testing::same_bits(os[i], ov[i]))
+              << "n=" << n << " off=" << off << " q=" << q << " i=" << i;
+        }
       }
     }
   }
