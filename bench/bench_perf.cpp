@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -413,15 +412,6 @@ std::vector<SimdWorkload> simd_workloads() {
       {"convolve_same_21tap", n,
        [&d, n](const simd::Kernels& k, double* out) {
          k.convolve_same(d.sig_a.data(), n, d.taps.data(), d.taps.size(), out);
-       }},
-      {"resample_linear_30to25",
-       static_cast<std::size_t>(
-           std::floor(static_cast<double>(n - 1) / 30.0 * 25.0)) + 1,
-       [&d, n](const simd::Kernels& k, double* out) {
-         const std::size_t out_n =
-             static_cast<std::size_t>(
-                 std::floor(static_cast<double>(n - 1) / 30.0 * 25.0)) + 1;
-         k.resample_linear(d.sig_a.data(), n, 30.0, 25.0, out, out_n);
        }},
       {"luminance_row_sum", 1,
        [&d, npix](const simd::Kernels& k, double* out) {

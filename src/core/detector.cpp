@@ -34,16 +34,22 @@ DetectionResult Detector::detect_impl(const chat::SessionTrace& trace) const {
     t_raw = extractor_.transmitted_signal(trace.transmitted);
     r_raw = extractor_.received_signal(trace.received);
   }
-  const PreprocessResult t_pre = preprocessor_.process_transmitted(t_raw);
-  const PreprocessResult r_pre = preprocessor_.process_received(r_raw.luminance);
-
   const double r_completeness =
       r_raw.luminance.empty()
           ? 0.0
           : 1.0 - static_cast<double>(r_raw.failed_frames) /
                       static_cast<double>(r_raw.luminance.size());
+  return detect_window(t_raw, r_raw.luminance, r_completeness);
+}
+
+DetectionResult Detector::detect_window(const signal::Signal& transmitted,
+                                        const signal::Signal& received,
+                                        double received_completeness) const {
+  const PreprocessResult t_pre = preprocessor_.process_transmitted(transmitted);
+  const PreprocessResult r_pre = preprocessor_.process_received(received);
   const SignalQuality t_quality = assess_signal_quality(t_pre, 1.0);
-  const SignalQuality r_quality = assess_signal_quality(r_pre, r_completeness);
+  const SignalQuality r_quality =
+      assess_signal_quality(r_pre, received_completeness);
 
   if (config_.enable_abstain &&
       quality_insufficient(t_quality, r_quality, config_)) {

@@ -51,7 +51,7 @@ class Detector {
       const chat::SessionTrace& trace) const;
 
   /// Attaches a shared immutable LOF model (the deployment path: snapshots
-  /// come from a model::ModelRegistry or a loaded v2 model file). Adopts
+  /// come from a model::ModelRegistry or a loaded v3 model file). Adopts
   /// the snapshot's k and calibrated tau into the live configuration;
   /// set_tau() afterwards still overrides the threshold locally. Copies of
   /// this detector share the snapshot — no training data is duplicated.
@@ -72,8 +72,23 @@ class Detector {
   /// One detection round.
   [[nodiscard]] DetectionResult detect(const chat::SessionTrace& trace) const;
 
+  /// One window on raw luminance signals: preprocesses both, assesses their
+  /// quality (`received_completeness` is the caller's fraction of received
+  /// samples backed by a real landmark hit), abstains when enabled and the
+  /// evidence is insufficient, otherwise extracts z1..z4 and classifies.
+  /// detect() and StreamingDetector run every window through this.
+  [[nodiscard]] DetectionResult detect_window(
+      const signal::Signal& transmitted, const signal::Signal& received,
+      double received_completeness) const;
+
   /// Classifies a precomputed feature vector.
   [[nodiscard]] DetectionResult classify(const FeatureVector& z) const;
+
+  /// The frame-to-sample rule of both signals (shared with
+  /// StreamingDetector, which feeds it one frame at a time).
+  [[nodiscard]] const LuminanceExtractor& extractor() const {
+    return extractor_;
+  }
 
   /// Runs detect() on every trace, optionally fanning out over `pool`.
   /// Result i always corresponds to trace i and detection is stateless, so

@@ -5,8 +5,8 @@
 #include <limits>
 
 #include "obs/trace.hpp"
+#include "signal/delay.hpp"
 #include "signal/dtw.hpp"
-#include "signal/resample.hpp"
 #include "signal/stats.hpp"
 
 namespace lumichat::core {

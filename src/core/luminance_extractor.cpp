@@ -1,69 +1,67 @@
 #include "core/luminance_extractor.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "face/roi.hpp"
 #include "image/luminance.hpp"
-#include "signal/resample.hpp"
 
 namespace lumichat::core {
 
-LuminanceExtractor::LuminanceExtractor(DetectorConfig config,
-                                       face::DetectorSpec detector)
-    : config_(config), landmark_detector_(detector) {}
+namespace {
+
+// Every clip is recorded at the extraction rate (the simulation tick is the
+// sampling tick), so a clip at any other rate is a caller error.
+void require_rate(const chat::VideoClip& clip, const DetectorConfig& config) {
+  if (clip.sample_rate_hz != config.sample_rate_hz) {
+    throw std::invalid_argument(
+        "LuminanceExtractor: clip rate differs from the extraction rate");
+  }
+}
+
+}  // namespace
+
+LuminanceExtractor::LuminanceExtractor(DetectorConfig config)
+    : config_(config) {}
 
 signal::Signal LuminanceExtractor::transmitted_signal(
     const chat::VideoClip& clip) const {
-  signal::Signal s = clip.frame_luminance_signal();
-  if (clip.sample_rate_hz != config_.sample_rate_hz && !s.empty()) {
-    s = signal::resample_linear(s, clip.sample_rate_hz,
-                                config_.sample_rate_hz);
-  }
-  return s;
+  require_rate(clip, config_);
+  return clip.frame_luminance_signal();
 }
 
 ReceivedExtraction LuminanceExtractor::received_signal(
     const chat::VideoClip& clip) const {
+  require_rate(clip, config_);
   ReceivedExtraction out;
   out.luminance.reserve(clip.size());
-
-  double last_valid = 0.0;
-  bool have_valid = false;
-  std::size_t backfill_until = 0;
-
+  ReceivedHold hold;
   for (const image::Image& frame : clip.frames) {
-    double value = last_valid;
-    bool ok = false;
-    if (!frame.empty()) {
-      if (const auto lm = landmark_detector_.detect(frame)) {
-        const image::RectF roi = face::nasal_roi_f(*lm);
-        if (!roi.empty()) {
-          value = image::roi_luminance(frame, roi);
-          ok = true;
-        }
-      }
-    }
-    if (ok) {
-      if (!have_valid) {
-        // Backfill the leading hold-over samples with the first real value
-        // so the filter chain does not see a fake step at clip start.
-        for (std::size_t i = 0; i < backfill_until; ++i) {
-          out.luminance[i] = value;
-        }
-        have_valid = true;
-      }
-      last_valid = value;
-    } else {
-      ++out.failed_frames;
-      if (!have_valid) ++backfill_until;
-    }
-    out.luminance.push_back(value);
-  }
-
-  if (clip.sample_rate_hz != config_.sample_rate_hz &&
-      !out.luminance.empty()) {
-    out.luminance = signal::resample_linear(
-        out.luminance, clip.sample_rate_hz, config_.sample_rate_hz);
+    if (!append_received(frame, hold, out.luminance)) ++out.failed_frames;
   }
   return out;
+}
+
+bool LuminanceExtractor::append_received(const image::Image& frame,
+                                         ReceivedHold& hold,
+                                         signal::Signal& out) const {
+  if (!frame.empty()) {
+    if (const auto lm = landmark_detector_.detect(frame)) {
+      const image::RectF roi = face::nasal_roi_f(*lm);
+      if (!roi.empty()) {
+        const double value = image::roi_luminance(frame, roi);
+        if (!hold.seen) {
+          std::fill(out.begin(), out.end(), value);
+          hold.seen = true;
+        }
+        hold.last = value;
+        out.push_back(value);
+        return true;
+      }
+    }
+  }
+  out.push_back(hold.last);
+  return false;
 }
 
 }  // namespace lumichat::core

@@ -4,7 +4,9 @@
 // sees one frame at a time; this wrapper does the per-frame work (luminance
 // extraction at the configured sampling rate) incrementally and emits a
 // DetectionResult whenever a full window of samples has accumulated,
-// keeping a running majority vote across windows (Sec. VII-B).
+// keeping a running majority vote across windows (Sec. VII-B). Both steps
+// are the batch Detector's own: each received frame goes through its
+// extractor's append_received(), each full window through detect_window().
 //
 //   StreamingDetector sd(config);
 //   sd.attach_model(model::fit_lof_model(config.detector, legit_features));
@@ -21,7 +23,6 @@
 #include "core/config.hpp"
 #include "core/detector.hpp"
 #include "core/luminance_extractor.hpp"
-#include "core/preprocess.hpp"
 #include "core/voting.hpp"
 #include "image/image.hpp"
 
@@ -47,6 +48,9 @@ struct FlushReport {
 
 class StreamingDetector {
  public:
+  /// \throws std::invalid_argument unless the sampling rate is finite and
+  ///   positive and a window holds at least one and at most
+  ///   vector::max_size() samples (window_s * sample_rate_hz, rounded).
   explicit StreamingDetector(StreamingConfig config = {});
 
   /// Attaches a shared immutable LOF model (see Detector::attach_model).
@@ -62,16 +66,11 @@ class StreamingDetector {
 
   [[nodiscard]] bool is_trained() const { return detector_.is_trained(); }
 
-  /// Adjusts the decision threshold of this instance (threads through to
-  /// verdicts and RoundExplanation::lof_tau; the shared model is untouched).
-  void set_tau(double tau) { detector_.set_tau(tau); }
-  [[nodiscard]] double tau() const { return detector_.tau(); }
-
   /// Feeds one simultaneous pair of frames at time `t_sec` (non-decreasing).
   /// Frames arriving faster than the configured sampling rate are skipped;
-  /// an empty received frame holds the previous luminance value (same
-  /// fallback as the batch extractor). Returns a verdict each time a full
-  /// window completes, std::nullopt otherwise.
+  /// a received frame without a usable face holds the previous luminance
+  /// value (LuminanceExtractor::append_received). Returns a verdict each
+  /// time a full window completes, std::nullopt otherwise.
   [[nodiscard]] std::optional<DetectionResult> push(
       double t_sec, const image::Image& transmitted,
       const image::Image& received);
@@ -84,17 +83,14 @@ class StreamingDetector {
     return window_verdicts_.size();
   }
 
-  /// Drops any partially accumulated window (e.g. after a hold/resume).
-  void reset_window();
-
   /// Samples accumulated toward the current (incomplete) window.
   [[nodiscard]] std::size_t pending_samples() const {
     return t_buffer_.size();
   }
 
-  /// Discards the partial window like reset_window(), but reports how much
-  /// evidence was dropped so callers tearing a session down mid-window can
-  /// account for it instead of losing it invisibly.
+  /// Drops any partially accumulated window (e.g. after a hold/resume) and
+  /// reports how much evidence was dropped, so callers tearing a session
+  /// down mid-window can account for it instead of losing it invisibly.
   FlushReport flush();
 
   /// Returns the detector to its just-trained state: partial window, window
@@ -124,15 +120,11 @@ class StreamingDetector {
  private:
   StreamingConfig config_;
   Detector detector_;
-  face::LandmarkDetector landmarks_;
-  Preprocessor preprocessor_;
-  FeatureExtractor features_;
 
   signal::Signal t_buffer_;
   signal::Signal r_buffer_;
   double next_sample_at_ = 0.0;
-  double last_r_value_ = 0.0;
-  bool have_r_value_ = false;
+  ReceivedHold r_hold_;
   /// Samples of the current window backed by a real landmark hit (vs the
   /// hold-last fallback) — the window_completeness numerator.
   std::size_t real_r_samples_ = 0;
@@ -140,6 +132,7 @@ class StreamingDetector {
   std::uint64_t stream_id_ = 0;
   std::vector<Verdict> window_verdicts_;
 
+  void reset_window();
   void emit_explanation(const DetectionResult& result);
 };
 

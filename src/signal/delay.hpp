@@ -1,7 +1,7 @@
-// Sample-rate conversion: the luminance extractor samples received video at
-// 5-10 Hz (Sec. IV / Fig. 16), while the camera substrate produces frames at
-// its native rate. Linear interpolation is sufficient because everything of
-// interest lives below 1 Hz.
+// Fractional signal delay by linear interpolation: feature extraction
+// removes the received signal's estimated delay with it (Sec. VI-2), i.e.
+// network delay plus any forgery processing delay. Linear interpolation is
+// sufficient because everything of interest lives below 1 Hz.
 #pragma once
 
 #include <cstddef>
@@ -9,21 +9,6 @@
 #include "signal/types.hpp"
 
 namespace lumichat::signal {
-
-/// Resamples `x` (sampled at `from_hz`) to `to_hz` via linear interpolation.
-/// The output covers the same time span [0, (n-1)/from_hz]. Degenerate
-/// inputs: an empty signal stays empty (nothing to interpolate); a single
-/// sample is treated as sample-and-hold over its 1/from_hz span, so the
-/// output has max(1, floor(to_hz/from_hz)) copies of it — callers get a
-/// correctly-*sized* signal for the target rate instead of the input handed
-/// back unchanged regardless of rates.
-/// \throws std::invalid_argument on non-positive rates.
-[[nodiscard]] Signal resample_linear(const Signal& x, double from_hz,
-                                     double to_hz);
-
-/// Keeps every `factor`-th sample (no anti-alias filter; callers low-pass
-/// first where aliasing matters). factor must be >= 1.
-[[nodiscard]] Signal decimate(const Signal& x, std::size_t factor);
 
 /// Shifts a signal in time by `delay_samples` (can be fractional; linear
 /// interpolation; edges replicate). Positive delay moves content later.

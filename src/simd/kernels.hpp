@@ -1,9 +1,9 @@
 // Runtime-dispatched compute kernels for the per-frame hot path.
 //
 // Every per-frame stage of the defense — nasal-ROI luminance reduction over
-// raw pixels, the FIR/Savitzky–Golay convolution chain, delay compensation /
-// resampling, the Pearson trend statistics, and the 4-D LOF distance scans —
-// bottoms out in one of the kernels below, as does the CRC-32 that seals
+// raw pixels, the FIR/Savitzky–Golay convolution chain, delay compensation,
+// the Pearson trend statistics, and the 4-D LOF distance scans — bottoms
+// out in one of the kernels below, as does the CRC-32 that seals
 // every wire message (src/wire/crc32.hpp). So do the chat simulator's two
 // per-pixel loops, camera develop and codec blend-quantize, and the
 // engine-word and candidate steps of its standard-normal draws. Each
@@ -14,10 +14,10 @@
 // Determinism contract (what makes bit-equality possible):
 //
 //  * Kernels that map independent outputs (convolve_same, correlate_same,
-//    resample_linear, delay_linear, squared_dist4_batch) perform, per
-//    output, exactly the same IEEE operation sequence in both paths; the
-//    AVX2 path merely computes 4 outputs per instruction. Their results are
-//    also bit-identical to the pre-SIMD per-sample loops they replaced.
+//    delay_linear, squared_dist4_batch) perform, per output, exactly the
+//    same IEEE operation sequence in both paths; the AVX2 path merely
+//    computes 4 outputs per instruction. Their results are also
+//    bit-identical to the pre-SIMD per-sample loops they replaced.
 //
 //    camera_develop and codec_blend_quantize belong to this class too:
 //    std::clamp and std::max keep their compare-and-select semantics on
@@ -113,15 +113,10 @@ struct Kernels {
   void (*correlate_same)(const double* x, std::size_t n, const double* kern,
                          std::size_t m, double* y);
 
-  /// Linear-interpolation resampling: for each output i,
-  ///   t = clamp((i / to_hz) * from_hz, 0, n-1);
+  /// Fractional delay via clamped linear interpolation: for each i,
+  ///   t = clamp(i - delay_samples, 0, n-1);
   ///   out[i] = x[floor(t)]*(1-frac) + x[min(floor(t)+1, n-1)]*frac.
-  /// Requires n >= 1. x and out must not alias.
-  void (*resample_linear)(const double* x, std::size_t n, double from_hz,
-                          double to_hz, double* out, std::size_t out_n);
-
-  /// Fractional delay via the same clamped linear interpolation:
-  ///   out[i] = sample_at(x, i - delay_samples). x and out must not alias.
+  /// x and out must not alias.
   void (*delay_linear)(const double* x, std::size_t n, double delay_samples,
                        double* out);
 

@@ -143,7 +143,7 @@ void correlate_same_avx2(const double* x, std::size_t n, const double* kern,
   }
 }
 
-/// Shared body of resample/delay: interpolate x at positions held in `pos`
+/// Body of delay_linear: interpolate x at positions held in `pos`
 /// (already clamped to [0, n-1]) — per lane the exact op sequence of
 /// detail::sample_at after its clamp.
 __m256d gather_lerp(const double* x, std::ptrdiff_t n, __m256d pos) {
@@ -163,28 +163,6 @@ __m256d gather_lerp(const double* x, std::ptrdiff_t n, __m256d pos) {
   const __m256d one = _mm256_set1_pd(1.0);
   return _mm256_add_pd(_mm256_mul_pd(x0, _mm256_sub_pd(one, frac)),
                        _mm256_mul_pd(x1, frac));
-}
-
-void resample_linear_avx2(const double* x, std::size_t n, double from_hz,
-                          double to_hz, double* out, std::size_t out_n) {
-  const std::size_t o4 = out_n - out_n % 4;
-  const __m256d vto = _mm256_set1_pd(to_hz);
-  const __m256d vfrom = _mm256_set1_pd(from_hz);
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vmax = _mm256_set1_pd(static_cast<double>(n - 1));
-  const __m256d ramp = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
-  for (std::size_t i = 0; i < o4; i += 4) {
-    const __m256d vi =
-        _mm256_add_pd(_mm256_set1_pd(static_cast<double>(i)), ramp);
-    __m256d pos = _mm256_mul_pd(_mm256_div_pd(vi, vto), vfrom);
-    pos = _mm256_min_pd(_mm256_max_pd(pos, vzero), vmax);
-    _mm256_storeu_pd(out + i,
-                     gather_lerp(x, static_cast<std::ptrdiff_t>(n), pos));
-  }
-  for (std::size_t i = o4; i < out_n; ++i) {
-    const double t_sec = static_cast<double>(i) / to_hz;
-    out[i] = detail::sample_at(x, n, t_sec * from_hz);
-  }
 }
 
 void delay_linear_avx2(const double* x, std::size_t n, double delay_samples,
@@ -548,7 +526,6 @@ const Kernels* avx2_kernels() {
       pearson_accumulate_avx2,
       convolve_same_avx2,
       correlate_same_avx2,
-      resample_linear_avx2,
       delay_linear_avx2,
       luminance_row_sum_avx2,
       rgb_channel_sums_avx2,

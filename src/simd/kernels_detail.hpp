@@ -48,7 +48,7 @@ inline double correlate_one(const double* x, std::ptrdiff_t n,
 }
 
 /// Clamped linear interpolation at fractional index t (n >= 1). Matches the
-/// pre-SIMD resample.cpp sample_at: mul, mul, add — no FMA.
+/// pre-SIMD delay_signal sample_at: mul, mul, add — no FMA.
 inline double sample_at(const double* x, std::size_t n, double t) {
   const double max_t = static_cast<double>(n - 1);
   t = std::clamp(t, 0.0, max_t);

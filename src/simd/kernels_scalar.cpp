@@ -115,14 +115,6 @@ void correlate_same_scalar(const double* x, std::size_t n, const double* kern,
   }
 }
 
-void resample_linear_scalar(const double* x, std::size_t n, double from_hz,
-                            double to_hz, double* out, std::size_t out_n) {
-  for (std::size_t i = 0; i < out_n; ++i) {
-    const double t_sec = static_cast<double>(i) / to_hz;
-    out[i] = detail::sample_at(x, n, t_sec * from_hz);
-  }
-}
-
 void delay_linear_scalar(const double* x, std::size_t n, double delay_samples,
                          double* out) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -216,7 +208,6 @@ const Kernels& scalar_kernels() {
       pearson_accumulate_scalar,
       convolve_same_scalar,
       correlate_same_scalar,
-      resample_linear_scalar,
       delay_linear_scalar,
       luminance_row_sum_scalar,
       rgb_channel_sums_scalar,

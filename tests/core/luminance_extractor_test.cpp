@@ -1,5 +1,7 @@
 #include "core/luminance_extractor.hpp"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "face/renderer.hpp"
@@ -77,6 +79,30 @@ TEST(Extractor, LeadingFailuresBackfilledWithFirstValidValue) {
   EXPECT_NEAR(r.luminance[1], r.luminance[2], 1e-9);
 }
 
+TEST(Extractor, AppendReceivedIsTheBatchRuleFrameByFrame) {
+  // The streaming detector feeds frames one at a time through
+  // append_received(); it must build the batch signal bit for bit, the
+  // leading backfill and hold-last included.
+  const LuminanceExtractor ex;
+  chat::VideoClip clip = face_clip(40.0, 90.0, 12);
+  clip.frames.insert(clip.frames.begin() + 7, image::Image{});
+  clip.frames.insert(clip.frames.begin(), image::Image{});
+  clip.frames.insert(clip.frames.begin(), image::Image{});
+  const ReceivedExtraction batch = ex.received_signal(clip);
+
+  signal::Signal streamed;
+  ReceivedHold hold;
+  std::size_t hits = 0;
+  for (const image::Image& frame : clip.frames) {
+    if (ex.append_received(frame, hold, streamed)) ++hits;
+  }
+  EXPECT_EQ(streamed, batch.luminance);
+  EXPECT_EQ(hits, clip.size() - batch.failed_frames);
+  EXPECT_EQ(batch.failed_frames, 3u);
+  EXPECT_TRUE(hold.seen);
+  EXPECT_EQ(hold.last, streamed.back());
+}
+
 TEST(Extractor, AllFramesFailingGivesFlatZero) {
   const LuminanceExtractor ex;
   chat::VideoClip clip;
@@ -87,15 +113,15 @@ TEST(Extractor, AllFramesFailingGivesFlatZero) {
   for (double v : r.luminance) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST(Extractor, ResamplesWhenClipRateDiffers) {
+TEST(Extractor, RejectsClipAtAnotherRate) {
   DetectorConfig cfg;
   cfg.sample_rate_hz = 5.0;
   const LuminanceExtractor ex(cfg);
   chat::VideoClip clip;
   clip.sample_rate_hz = 10.0;
   clip.frames.assign(100, image::Image(2, 2, image::Pixel{80, 80, 80}));
-  const auto s = ex.transmitted_signal(clip);
-  EXPECT_NEAR(static_cast<double>(s.size()), 50.0, 2.0);
+  EXPECT_THROW((void)ex.transmitted_signal(clip), std::invalid_argument);
+  EXPECT_THROW((void)ex.received_signal(clip), std::invalid_argument);
 }
 
 TEST(Extractor, EmptyClips) {

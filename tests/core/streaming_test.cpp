@@ -1,5 +1,9 @@
 #include "core/streaming.hpp"
 
+#include <limits>
+#include <stdexcept>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -71,7 +75,7 @@ TEST(Streaming, ResetWindowDropsPartialData) {
   for (int i = 0; i < 15; ++i) {
     (void)sd.push(static_cast<double>(i) * 0.1, frame, frame);
   }
-  sd.reset_window();
+  (void)sd.flush();
   // Window restarts: 19 more samples still yield no verdict...
   std::size_t verdicts = 0;
   for (int i = 15; i < 34; ++i) {
@@ -217,37 +221,86 @@ TEST(Streaming, ResetClearsStreamIdAndRestartsExplanationRounds) {
 }
 
 TEST(Streaming, MatchesBatchDetectorOnSimulatedSession) {
-  // Feeding a simulated session frame-by-frame must reproduce the batch
-  // detector's verdict on the same trace (identical pipeline, same config).
+  // Feeding a simulated session frame by frame must reproduce the batch
+  // detector's result on the same trace bit for bit: both run the same
+  // received-sample rule and the same window step. The two completeness
+  // formulas (batch 1 - failed/n, streaming hits/n) can differ by one ulp
+  // for some hit counts; on these traces they agree.
   eval::SimulationProfile profile;
   eval::DatasetBuilder data(profile);
   const auto pop = eval::make_population();
-
   const auto train = data.features(pop[9], eval::Role::kLegitimate, 12);
+  const auto snapshot = model::fit_lof_model(profile.detector_config(), train);
 
-  StreamingConfig cfg;
-  cfg.detector = profile.detector_config();
-  cfg.window_s = profile.clip_duration_s;
-  StreamingDetector streaming(cfg);
-  streaming.attach_model(model::fit_lof_model(cfg.detector, train));
+  const std::vector<chat::SessionTrace> traces = {
+      data.legit_trace(pop[0], 5), data.attacker_trace(pop[0], 5)};
+  for (const bool abstain : {false, true}) {
+    StreamingConfig cfg;
+    cfg.detector = profile.detector_config();
+    cfg.detector.enable_abstain = abstain;
+    cfg.window_s = profile.clip_duration_s;
+    Detector batch(cfg.detector);
+    batch.attach_model(snapshot);
+    batch.set_explanation_sink(nullptr);
 
-  Detector batch(profile.detector_config());
-  batch.attach_model(model::fit_lof_model(batch.config(), train));
-
-  const chat::SessionTrace trace = data.legit_trace(pop[0], 5);
-  std::optional<DetectionResult> streamed;
-  for (std::size_t i = 0; i < trace.transmitted.size(); ++i) {
-    const double t = static_cast<double>(i) / profile.sample_rate_hz;
-    auto r = streaming.push(t, trace.transmitted.frames[i],
-                            trace.received.frames[i]);
-    if (r) streamed = r;
+    for (std::size_t k = 0; k < traces.size(); ++k) {
+      const chat::SessionTrace& trace = traces[k];
+      StreamingDetector streaming(cfg);
+      streaming.attach_model(snapshot);
+      streaming.set_explanation_sink(nullptr);
+      std::optional<DetectionResult> streamed;
+      for (std::size_t i = 0; i < trace.transmitted.size(); ++i) {
+        const double t = static_cast<double>(i) / profile.sample_rate_hz;
+        auto r = streaming.push(t, trace.transmitted.frames[i],
+                                trace.received.frames[i]);
+        if (r) streamed = r;
+      }
+      ASSERT_TRUE(streamed.has_value()) << "trace " << k;
+      const DetectionResult batched = batch.detect(trace);
+      const auto where = ::testing::Message()
+                         << "trace " << k << " abstain " << abstain;
+      EXPECT_EQ(streamed->verdict, batched.verdict) << where;
+      EXPECT_EQ(streamed->is_attacker, batched.is_attacker) << where;
+      EXPECT_EQ(streamed->lof_score, batched.lof_score) << where;
+      EXPECT_EQ(streamed->features.z1, batched.features.z1) << where;
+      EXPECT_EQ(streamed->features.z2, batched.features.z2) << where;
+      EXPECT_EQ(streamed->features.z3, batched.features.z3) << where;
+      EXPECT_EQ(streamed->features.z4, batched.features.z4) << where;
+      for (const auto& [s, b] :
+           {std::pair{streamed->transmitted_quality,
+                      batched.transmitted_quality},
+            std::pair{streamed->received_quality, batched.received_quality}}) {
+        EXPECT_EQ(s.change_events, b.change_events) << where;
+        EXPECT_EQ(s.snr_proxy, b.snr_proxy) << where;
+        EXPECT_EQ(s.window_completeness, b.window_completeness) << where;
+        EXPECT_EQ(s.all_finite, b.all_finite) << where;
+      }
+    }
   }
-  ASSERT_TRUE(streamed.has_value());
-  const DetectionResult batched = batch.detect(trace);
-  EXPECT_EQ(streamed->is_attacker, batched.is_attacker);
-  EXPECT_NEAR(streamed->lof_score, batched.lof_score, 1e-9);
-  EXPECT_NEAR(streamed->features.z1, batched.features.z1, 1e-9);
-  EXPECT_NEAR(streamed->features.z3, batched.features.z3, 1e-9);
+}
+
+TEST(Streaming, RejectsDegenerateWindows) {
+  // A window must hold at least one sample and fit in a buffer; the
+  // sampling rate must be finite and positive.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double window_s : {0.0, -1.0, nan, 1e300, 0.04}) {
+    StreamingConfig cfg;
+    cfg.window_s = window_s;
+    EXPECT_THROW(StreamingDetector{cfg}, std::invalid_argument)
+        << "window_s " << window_s;
+  }
+  for (const double rate : {0.0, -1.0, nan, inf}) {
+    StreamingConfig cfg;
+    cfg.detector.sample_rate_hz = rate;
+    EXPECT_THROW(StreamingDetector{cfg}, std::invalid_argument)
+        << "rate " << rate;
+  }
+  // Half a sample rounds up to a one-sample window.
+  StreamingConfig one;
+  one.window_s = 0.05;
+  StreamingDetector sd(one);
+  EXPECT_EQ(sd.flush().window_samples, 1u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "signal/resample.hpp"
+#include "signal/delay.hpp"
 
 #include <cmath>
 
@@ -6,62 +6,6 @@
 
 namespace lumichat::signal {
 namespace {
-
-TEST(Resample, RejectsBadRates) {
-  EXPECT_THROW((void)resample_linear({1, 2}, 0.0, 10.0),
-               std::invalid_argument);
-  EXPECT_THROW((void)resample_linear({1, 2}, 10.0, -1.0),
-               std::invalid_argument);
-}
-
-TEST(Resample, IdentityWhenRatesEqual) {
-  const Signal x{1, 2, 3, 4};
-  EXPECT_EQ(resample_linear(x, 10.0, 10.0), x);
-}
-
-TEST(Resample, TinySignalsPassThrough) {
-  EXPECT_TRUE(resample_linear({}, 10.0, 5.0).empty());
-  EXPECT_EQ(resample_linear({7.0}, 10.0, 5.0), Signal{7.0});
-}
-
-TEST(Resample, DownsampleHalvesLength) {
-  Signal x;
-  for (int i = 0; i < 101; ++i) x.push_back(static_cast<double>(i));
-  const Signal y = resample_linear(x, 10.0, 5.0);
-  EXPECT_EQ(y.size(), 51u);
-  // A linear ramp resamples exactly onto the same line.
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_NEAR(y[i], static_cast<double>(i) * 2.0, 1e-9);
-  }
-}
-
-TEST(Resample, UpsampleInterpolatesLinearly) {
-  const Signal x{0.0, 10.0};
-  const Signal y = resample_linear(x, 10.0, 20.0);
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_NEAR(y[0], 0.0, 1e-12);
-  EXPECT_NEAR(y[1], 5.0, 1e-12);
-  EXPECT_NEAR(y[2], 10.0, 1e-12);
-}
-
-TEST(Resample, PreservesDurationApproximately) {
-  Signal x(151, 0.0);  // 15 s at 10 Hz
-  const Signal y8 = resample_linear(x, 10.0, 8.0);
-  const Signal y5 = resample_linear(x, 10.0, 5.0);
-  EXPECT_NEAR(static_cast<double>(y8.size() - 1) / 8.0, 15.0, 0.2);
-  EXPECT_NEAR(static_cast<double>(y5.size() - 1) / 5.0, 15.0, 0.2);
-}
-
-TEST(Decimate, KeepsEveryNth) {
-  const Signal x{0, 1, 2, 3, 4, 5, 6};
-  EXPECT_EQ(decimate(x, 2), (Signal{0, 2, 4, 6}));
-  EXPECT_EQ(decimate(x, 3), (Signal{0, 3, 6}));
-  EXPECT_EQ(decimate(x, 1), x);
-}
-
-TEST(Decimate, ZeroFactorThrows) {
-  EXPECT_THROW((void)decimate({1.0}, 0), std::invalid_argument);
-}
 
 TEST(DelaySignal, IntegerDelayShiftsContent) {
   const Signal x{0, 0, 0, 5, 0, 0, 0};
@@ -94,22 +38,6 @@ TEST(DelaySignal, EdgesReplicate) {
 TEST(DelaySignal, ZeroDelayIsIdentity) {
   const Signal x{3, 1, 4, 1, 5};
   EXPECT_EQ(delay_signal(x, 0.0), x);
-}
-
-TEST(Resample, SingleSampleIsHeldNotDropped) {
-  // A 1-sample signal carries one value and a duration of 1/from_hz; the
-  // resampler holds that value for the equivalent number of output samples
-  // instead of pretending the signal was empty or zero-padded.
-  EXPECT_EQ(resample_linear({7.0}, 5.0, 10.0), (Signal{7.0, 7.0}));
-  EXPECT_EQ(resample_linear({7.0}, 10.0, 10.0), Signal{7.0});
-  // Downsampling below one output sample still keeps the value.
-  EXPECT_EQ(resample_linear({7.0}, 10.0, 5.0), Signal{7.0});
-  EXPECT_EQ(resample_linear({7.0}, 10.0, 1.0), Signal{7.0});
-}
-
-TEST(Resample, EmptyStaysEmptyInBothDirections) {
-  EXPECT_TRUE(resample_linear({}, 5.0, 10.0).empty());
-  EXPECT_TRUE(resample_linear({}, 10.0, 5.0).empty());
 }
 
 TEST(DelaySignalChecked, PositiveDelayMarksLeadingRunInvalid) {

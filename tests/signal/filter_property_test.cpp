@@ -1,5 +1,5 @@
 // Property sweep over the filtering kernels the parallel engine multiplies:
-// fir / savitzky_golay / resample. For random inputs drawn from a
+// fir / savitzky_golay / delay. For random inputs drawn from a
 // fixed-seed common::Rng, each kernel must satisfy the algebra a linear
 // filter owes its callers — linearity, unit DC gain (the preprocessing
 // chain's absolute thresholds depend on it), and shift/time invariance away
@@ -12,7 +12,7 @@
 
 #include "common/rng.hpp"
 #include "signal/fir.hpp"
-#include "signal/resample.hpp"
+#include "signal/delay.hpp"
 #include "signal/savitzky_golay.hpp"
 #include "signal/types.hpp"
 
@@ -154,44 +154,7 @@ INSTANTIATE_TEST_SUITE_P(WindowsAndOrders, SavgolProperties,
                                            SavgolParam{11, 2},  //
                                            SavgolParam{15, 4}));
 
-// ----------------------------------------------------------- Resample ----
-
-TEST(ResampleProperties, SameRateIsIdentityWithinRounding) {
-  common::Rng rng(9);
-  const Signal x = random_signal(64, rng);
-  const Signal y = resample_linear(x, 10.0, 10.0);
-  ASSERT_EQ(y.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(y[i], x[i], 1e-9);
-  }
-}
-
-TEST(ResampleProperties, UpsampleHitsOriginalGridPoints) {
-  common::Rng rng(10);
-  const Signal x = random_signal(40, rng);
-  const Signal up = resample_linear(x, 10.0, 40.0);  // 4x
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(up[4 * i], x[i], 1e-9) << "i=" << i;
-  }
-}
-
-TEST(ResampleProperties, Linearity) {
-  common::Rng rng(11);
-  const Signal x = random_signal(50, rng);
-  const Signal y = random_signal(50, rng);
-  const double a = 1.5;
-  const double b = 0.25;
-  Signal combo(x.size(), 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) combo[i] = a * x[i] + b * y[i];
-
-  const Signal rx = resample_linear(x, 10.0, 7.0);
-  const Signal ry = resample_linear(y, 10.0, 7.0);
-  const Signal rc = resample_linear(combo, 10.0, 7.0);
-  ASSERT_EQ(rc.size(), rx.size());
-  for (std::size_t i = 0; i < rc.size(); ++i) {
-    EXPECT_NEAR(rc[i], a * rx[i] + b * ry[i], 1e-9) << "i=" << i;
-  }
-}
+// ---------------------------- Delay: resampling onto a shifted grid ----
 
 TEST(ResampleProperties, IntegerDelayShiftsExactly) {
   common::Rng rng(12);
@@ -210,14 +173,6 @@ TEST(ResampleProperties, DelayThenUndelayRestoresTheInterior) {
   for (std::size_t i = 4; i + 4 < x.size(); ++i) {
     EXPECT_NEAR(back[i], x[i], 1e-12) << "i=" << i;
   }
-}
-
-TEST(ResampleProperties, DecimatePicksEveryFactorthSample) {
-  common::Rng rng(14);
-  const Signal x = random_signal(41, rng);
-  const Signal d = decimate(x, 4);
-  ASSERT_EQ(d.size(), 11u);
-  for (std::size_t i = 0; i < d.size(); ++i) EXPECT_EQ(d[i], x[4 * i]);
 }
 
 }  // namespace

@@ -138,32 +138,6 @@ TEST_F(KernelEquality, ConvolveAndCorrelateSame) {
   }
 }
 
-TEST_F(KernelEquality, ResampleLinear) {
-  Rng rng(15);
-  const double rates[][2] = {{30.0, 25.0}, {25.0, 30.0}, {30.0, 30.0},
-                             {7.5, 24.0},  {100.0, 3.0}};
-  for (std::size_t n : kLens) {
-    if (n == 0) continue;  // contract requires n >= 1
-    for (const auto& r : rates) {
-      for (std::size_t off : kOffsets) {
-        const auto xb = random_buffer(rng, n, off);
-        const double* x = xb.data() + off;
-        const double duration = static_cast<double>(n - 1) / r[0];
-        const std::size_t out_n =
-            static_cast<std::size_t>(std::floor(duration * r[1])) + 1;
-        std::vector<double> os(out_n, 0.0);
-        std::vector<double> ov(out_n, 7.0);
-        scalar_.resample_linear(x, n, r[0], r[1], os.data(), out_n);
-        avx2_->resample_linear(x, n, r[0], r[1], ov.data(), out_n);
-        for (std::size_t i = 0; i < out_n; ++i) {
-          ASSERT_EQ(bits(os[i]), bits(ov[i]))
-              << "n=" << n << " " << r[0] << "->" << r[1] << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
 TEST_F(KernelEquality, DelayLinear) {
   Rng rng(16);
   const double delays[] = {0.0, 0.25, 1.0, 3.5, -0.75, -2.25, 1000.0, -1000.0};

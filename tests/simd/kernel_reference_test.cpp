@@ -47,7 +47,7 @@ double legacy_convolve_at(const std::vector<double>& x,
   return acc;
 }
 
-// The pre-SIMD resample.cpp clamped linear interpolation, verbatim.
+// The pre-SIMD delay_signal clamped linear interpolation, verbatim.
 double legacy_sample_at(const std::vector<double>& x, double t) {
   const double max_t = static_cast<double>(x.size() - 1);
   t = std::max(0.0, std::min(t, max_t));
