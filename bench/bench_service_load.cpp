@@ -37,9 +37,11 @@
 //                                              # door: poll the measured run
 //                                              # live with lumichat_stat
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <set>
 #include <string>
@@ -582,12 +584,23 @@ int main(int argc, char** argv) {
   if (positional.size() > 2) window_s = std::strtod(positional[2], nullptr);
   if (positional.size() > 3) attacker_pct = std::strtod(positional[3], nullptr);
   if (n_sessions == 0) n_sessions = 500;
-  if (duration_s <= 0.0) duration_s = 6.0;
-  if (window_s <= 0.0) window_s = duration_s;
+  if (!std::isfinite(duration_s) || duration_s <= 0.0 ||
+      !std::isfinite(window_s) || window_s <= 0.0) {
+    std::fprintf(stderr,
+                 "usage: bench_service_load [flags] [n_sessions] "
+                 "[duration_s] [window_s] [attacker_pct]\n"
+                 "  duration_s and window_s must be finite and positive\n");
+    return 2;
+  }
 
   if (socket_conns > 0) {
-    return run_socket_bench(n_sessions, duration_s, window_s, attacker_pct,
-                            socket_conns, json_out, listen_path);
+    try {
+      return run_socket_bench(n_sessions, duration_s, window_s, attacker_pct,
+                              socket_conns, json_out, listen_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bench_service_load: %s\n", e.what());
+      return 1;
+    }
   }
 
   bench::header("Service runtime: concurrent-session load & determinism");

@@ -1,6 +1,5 @@
 #include "chat/frame_source.hpp"
 
-#include <cmath>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -22,7 +21,7 @@ SessionFrameSource::SessionFrameSource(const SessionSpec& spec,
       codec_b2a_(spec.codec, common::derive_seed(seed, 24)),
       plan_(spec.faults, common::derive_seed(seed, 31)),
       tick_(-static_cast<std::ptrdiff_t>(
-          std::llround(spec.warmup_s * spec.sample_rate_hz))) {
+          tick_count(spec.warmup_s, spec.sample_rate_hz))) {
   if (plan_.any()) install_injectors();
 }
 
@@ -83,7 +82,6 @@ FramePair SessionFrameSource::next() {
     const bool warming_up = tick_ < 0;
     ++tick_;
     if (warming_up) continue;
-    ++produced_;
     image::Image received = b2a_.at(t);                         // step 5
     if (res_switch_b2a_.enabled()) {
       received = res_switch_b2a_.apply(received, t);

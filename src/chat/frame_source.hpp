@@ -46,13 +46,6 @@ class SessionFrameSource {
   /// does not limit it — callers decide when the session ends.
   [[nodiscard]] FramePair next();
 
-  [[nodiscard]] double sample_rate_hz() const { return spec_.sample_rate_hz; }
-
-  /// Pairs produced so far (warm-up ticks excluded).
-  [[nodiscard]] std::size_t frames_produced() const { return produced_; }
-
-  [[nodiscard]] const SessionSpec& spec() const { return spec_; }
-
   /// Swaps who answers from the next tick on — a mid-call attacker takeover
   /// (or a restore) as the scenario engine scripts it. Alice, the network
   /// channels and the codecs keep their state: only the respondent changes,
@@ -72,14 +65,9 @@ class SessionFrameSource {
   /// compression: the clean path, consuming no fault RNG, exactly as if the
   /// session had been built faultless (channel state persists, so frames
   /// already in flight still carry the old degradation).
+  /// Camera-level drift is not applied here — cameras belong to `alice` /
+  /// `respondent`; reenact/call.hpp binds it through their CameraSpecs.
   void apply_faults(const faults::FaultConfig& config, std::uint64_t phase);
-
-  /// The fault plan degrading this session (severity 0 everywhere unless
-  /// spec.faults says otherwise). Camera-level drift is not applied here —
-  /// cameras belong to `alice` / `respondent`; callers inject
-  /// plan-compatible drift through their CameraSpec (see
-  /// faults::FaultPlan::camera_drift).
-  [[nodiscard]] const faults::FaultPlan& fault_plan() const { return plan_; }
 
  private:
   /// (Re)builds the link/codec/resolution injectors from plan_.
@@ -99,7 +87,6 @@ class SessionFrameSource {
   faults::ResolutionSwitch res_switch_a2b_;
   faults::ResolutionSwitch res_switch_b2a_;
   std::ptrdiff_t tick_;
-  std::size_t produced_ = 0;
 };
 
 }  // namespace lumichat::chat

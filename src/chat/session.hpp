@@ -8,6 +8,7 @@
 //   5. Alice's detector consumes {her transmitted clip, the received clip}.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "chat/alice.hpp"
@@ -46,6 +47,12 @@ struct SessionTrace {
   VideoClip transmitted;  ///< Alice's own outgoing video (step 1)
   VideoClip received;     ///< Bob's video as it arrives at Alice (step 4)
 };
+
+/// Whole simulation ticks in `seconds` of chat at `rate_hz`, rounded to the
+/// nearest tick. Every duration-to-ticks conversion goes through here.
+/// Throws std::invalid_argument when seconds x rate is not finite, is
+/// negative or does not fit a signed 64-bit count.
+[[nodiscard]] std::size_t tick_count(double seconds, double rate_hz);
 
 /// Runs one detection window and returns both clips.
 ///

@@ -1,9 +1,6 @@
 #include "eval/dataset.hpp"
 
 #include "common/rng.hpp"
-#include "faults/plan.hpp"
-#include "reenact/adaptive.hpp"
-#include "reenact/reenactor.hpp"
 
 namespace lumichat::eval {
 
@@ -35,110 +32,40 @@ std::uint64_t DatasetBuilder::clip_seed(const Volunteer& v, Role role,
   return common::derive_seed(profile_.master_seed, stream);
 }
 
-chat::AliceStream DatasetBuilder::make_alice(
-    std::uint64_t seed, optics::ExposureDriftSpec drift) const {
-  chat::AliceSpec spec;
-  // Alice's own face varies with the seed so no two clips show the same
-  // verifier-side content; she is not part of the evaluated population.
-  spec.face = face::make_volunteer_face(seed % 10);
-  spec.camera.drift = drift;
-  common::Rng script_rng(common::derive_seed(seed, 61));
-  auto script = chat::make_metering_script(profile_.clip_duration_s,
-                                           script_rng);
-  return chat::AliceStream(spec, std::move(script),
-                           common::derive_seed(seed, 62));
+chat::SessionTrace DatasetBuilder::trace(const Volunteer& v, Role role,
+                                         std::size_t clip_idx,
+                                         double adaptive_delay_s) const {
+  reenact::CallRecipe recipe;
+  recipe.session = profile_.session_spec();
+  recipe.victim = v.face;  // the volunteer, or whom the attacker forges
+  recipe.peer_screen = profile_.bob_screen;
+  recipe.peer_screen_distance_m = profile_.bob_screen_distance_m;
+  recipe.peer_ambient_lux = profile_.bob_ambient_lux;
+  recipe.adaptive_delay_s = adaptive_delay_s;
+  return reenact::record_call(recipe, clip_seed(v, role, clip_idx), role);
 }
 
 chat::SessionTrace DatasetBuilder::legit_trace(const Volunteer& v,
                                                std::size_t clip_idx) const {
-  const std::uint64_t seed = clip_seed(v, Role::kLegitimate, clip_idx);
-  // Camera-side degradations attach to the real capture devices; an all-zero
-  // config yields disabled (default) drift specs.
-  const faults::FaultPlan drift_plan(profile_.faults,
-                                     common::derive_seed(seed, 71));
-  chat::AliceStream alice = make_alice(seed, drift_plan.camera_drift(1));
-  common::Rng env_rng(common::derive_seed(seed, 69));
-
-  chat::LegitimateSpec bob;
-  bob.face = v.face;
-  bob.camera.drift = drift_plan.camera_drift(2);
-  bob.screen = profile_.bob_screen;
-  // Session-to-session variation: people do not sit at a fixed distance or
-  // under identical lighting for every chat. This is what gives legitimate
-  // feature vectors their natural spread on the LOF hyperplane.
-  bob.screen_distance_m =
-      profile_.bob_screen_distance_m * env_rng.uniform(0.8, 1.35);
-  bob.ambient.lux_on_face = profile_.bob_ambient_lux * env_rng.uniform(0.55, 1.7);
-  chat::LegitimateRespondent respondent(bob, common::derive_seed(seed, 63));
-
-  return chat::run_session(profile_.session_spec(), alice, respondent,
-                           common::derive_seed(seed, 64));
+  return trace(v, Role::kLegitimate, clip_idx, 0.0);
 }
 
 chat::SessionTrace DatasetBuilder::attacker_trace(const Volunteer& v,
                                                   std::size_t clip_idx) const {
-  const std::uint64_t seed = clip_seed(v, Role::kAttacker, clip_idx);
-  // Only Alice's side has a real camera here — the attacker's frames come
-  // from the synthetic reenactment pipeline behind a virtual camera.
-  const faults::FaultPlan drift_plan(profile_.faults,
-                                     common::derive_seed(seed, 71));
-  chat::AliceStream alice = make_alice(seed, drift_plan.camera_drift(1));
-
-  common::Rng env_rng(common::derive_seed(seed, 69));
-  reenact::ReenactorSpec spec;
-  spec.victim = v.face;  // the impersonated identity
-  // The target video was plausibly recorded in an environment like the
-  // victim's usual one, with the same session-to-session variation.
-  spec.target_env.screen = profile_.bob_screen;
-  spec.target_env.screen_distance_m =
-      profile_.bob_screen_distance_m * env_rng.uniform(0.8, 1.35);
-  spec.target_env.ambient.lux_on_face =
-      profile_.bob_ambient_lux * env_rng.uniform(0.55, 1.7);
-  reenact::ReenactmentAttacker attacker(spec, common::derive_seed(seed, 65));
-
-  return chat::run_session(profile_.session_spec(), alice, attacker,
-                           common::derive_seed(seed, 66));
+  return trace(v, Role::kAttacker, clip_idx, 0.0);
 }
 
 chat::SessionTrace DatasetBuilder::adaptive_trace(const Volunteer& v,
                                                   std::size_t clip_idx,
                                                   double delay_s) const {
-  const std::uint64_t seed = clip_seed(v, Role::kAdaptiveAttacker, clip_idx);
-  const faults::FaultPlan drift_plan(profile_.faults,
-                                     common::derive_seed(seed, 71));
-  chat::AliceStream alice = make_alice(seed, drift_plan.camera_drift(1));
-
-  common::Rng env_rng(common::derive_seed(seed, 69));
-  reenact::AdaptiveAttackerSpec spec;
-  spec.victim = v.face;
-  spec.screen = profile_.bob_screen;
-  spec.screen_distance_m =
-      profile_.bob_screen_distance_m * env_rng.uniform(0.8, 1.35);
-  spec.ambient.lux_on_face =
-      profile_.bob_ambient_lux * env_rng.uniform(0.55, 1.7);
-  spec.processing_delay_s = delay_s;
-  reenact::AdaptiveAttacker attacker(spec, common::derive_seed(seed, 67));
-
-  return chat::run_session(profile_.session_spec(), alice, attacker,
-                           common::derive_seed(seed, 68));
+  return trace(v, Role::kAdaptiveAttacker, clip_idx, delay_s);
 }
 
 core::FeatureVector DatasetBuilder::feature(const Volunteer& v, Role role,
                                             std::size_t clip_idx,
                                             double adaptive_delay_s) const {
-  chat::SessionTrace trace;
-  switch (role) {
-    case Role::kLegitimate:
-      trace = legit_trace(v, clip_idx);
-      break;
-    case Role::kAttacker:
-      trace = attacker_trace(v, clip_idx);
-      break;
-    case Role::kAdaptiveAttacker:
-      trace = adaptive_trace(v, clip_idx, adaptive_delay_s);
-      break;
-  }
-  return featurizer_.featurize(trace).features;
+  return featurizer_.featurize(trace(v, role, clip_idx, adaptive_delay_s))
+      .features;
 }
 
 std::vector<core::FeatureVector> DatasetBuilder::features(

@@ -21,8 +21,8 @@
 #include "core/detector.hpp"
 #include "eval/population.hpp"
 #include "faults/fault_config.hpp"
-#include "optics/ambient.hpp"
 #include "optics/screen.hpp"
+#include "reenact/call.hpp"
 
 namespace lumichat::eval {
 
@@ -56,11 +56,8 @@ struct SimulationProfile {
   [[nodiscard]] core::DetectorConfig detector_config() const;
 };
 
-enum class Role : std::uint8_t {
-  kLegitimate = 0,
-  kAttacker = 1,
-  kAdaptiveAttacker = 2,
-};
+/// Who answers the clip's call: kLegitimate, kAttacker or kAdaptiveAttacker.
+using Role = reenact::PeerRole;
 
 class DatasetBuilder {
  public:
@@ -100,8 +97,11 @@ class DatasetBuilder {
  private:
   [[nodiscard]] std::uint64_t clip_seed(const Volunteer& v, Role role,
                                         std::size_t clip_idx) const;
-  [[nodiscard]] chat::AliceStream make_alice(
-      std::uint64_t seed, optics::ExposureDriftSpec drift = {}) const;
+  /// The clip's call, recorded: a pure function of (profile, v, role,
+  /// clip_idx, adaptive_delay_s).
+  [[nodiscard]] chat::SessionTrace trace(const Volunteer& v, Role role,
+                                         std::size_t clip_idx,
+                                         double adaptive_delay_s) const;
 
   SimulationProfile profile_;
   core::Detector featurizer_;  // used only for featurize(); never trained

@@ -1,6 +1,7 @@
 #include "scenario/timeline.hpp"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 namespace lumichat::scenario {
@@ -91,18 +92,6 @@ std::size_t ScenarioSpec::total_callers() const {
   return n;
 }
 
-bool ScenarioSpec::uses_actor(Actor actor) const {
-  for (const CallerScript& script : callers) {
-    if (script.initial_actor == actor) return true;
-    for (const TimelineEvent& e : script.events) {
-      if (e.kind == TimelineEvent::Kind::kSwapActor && e.actor == actor) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 std::string ScenarioSpec::to_json() const {
   std::string out;
   out.reserve(512);
@@ -165,9 +154,15 @@ std::string ScenarioSpec::to_json() const {
 
 std::string validate(const ScenarioSpec& spec) {
   if (spec.name.empty()) return "scenario name is empty";
-  if (!(spec.duration_s > 0.0)) return "duration_s must be positive";
-  if (!(spec.sample_rate_hz > 0.0)) return "sample_rate_hz must be positive";
-  if (spec.warmup_s < 0.0) return "warmup_s must be non-negative";
+  if (!std::isfinite(spec.duration_s) || spec.duration_s <= 0.0) {
+    return "duration_s must be finite and positive";
+  }
+  if (!std::isfinite(spec.sample_rate_hz) || spec.sample_rate_hz <= 0.0) {
+    return "sample_rate_hz must be finite and positive";
+  }
+  if (!std::isfinite(spec.warmup_s) || spec.warmup_s < 0.0) {
+    return "warmup_s must be finite and non-negative";
+  }
   if (!(spec.window_s > 0.0)) return "window_s must be positive";
   if (spec.ticks_per_pump == 0) return "ticks_per_pump must be >= 1";
   if (spec.claimed_volunteer >= 10) {

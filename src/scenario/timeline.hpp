@@ -96,17 +96,14 @@ struct ScenarioSpec {
 
   [[nodiscard]] std::size_t total_callers() const;
 
-  /// True when any script ever has `actor` answering (initially or via a
-  /// swap) — used to decide which respondent models must be built.
-  [[nodiscard]] bool uses_actor(Actor actor) const;
-
   /// The timeline as one JSON object (schema documented in DESIGN.md §5f);
   /// doubles use %.17g, so equal specs serialise identically.
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Structural validation: non-positive durations/rates, unsorted or
-/// out-of-range events, severities outside [0, 1], empty caller lists.
+/// Structural validation: non-finite or non-positive durations/rates,
+/// unsorted or out-of-range events, severities outside [0, 1], empty caller
+/// lists.
 /// Returns an empty string when the spec is runnable, else a description of
 /// the first problem found.
 [[nodiscard]] std::string validate(const ScenarioSpec& spec);

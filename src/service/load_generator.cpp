@@ -3,133 +3,30 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <utility>
 
-#include "chat/alice.hpp"
-#include "chat/frame_source.hpp"
-#include "chat/respondent.hpp"
+#include "chat/session.hpp"
 #include "common/rng.hpp"
 #include "face/face_model.hpp"
-#include "faults/plan.hpp"
 #include "obs/trace.hpp"
-#include "reenact/reenactor.hpp"
 
 namespace lumichat::service {
-namespace {
 
-/// The real thing: Alice + (legitimate | reenactor) respondent + network +
-/// codec, assembled the same way eval::DatasetBuilder assembles clips, but
-/// driven incrementally through chat::SessionFrameSource.
-class FullChatSource final : public ChatSource {
- public:
-  FullChatSource(const LoadSpec& spec, std::size_t ordinal, bool attacker) {
-    const std::uint64_t seed =
-        common::derive_seed(spec.master_seed, ordinal);
-
-    // Camera-side degradations (exposure/white-balance drift) attach to the
-    // capture specs; link/codec/resolution faults ride in the SessionSpec.
-    const faults::FaultPlan drift_plan(spec.faults,
-                                       common::derive_seed(seed, 71));
-
-    chat::AliceSpec alice_spec;
-    alice_spec.face = face::make_volunteer_face(seed % 10);
-    alice_spec.camera.drift = drift_plan.camera_drift(1);
-    common::Rng script_rng(common::derive_seed(seed, 61));
-    auto script = chat::make_metering_script(spec.duration_s, script_rng);
-    alice_ = std::make_unique<chat::AliceStream>(
-        alice_spec, std::move(script), common::derive_seed(seed, 62));
-
-    // Session-to-session environment variation, mirroring DatasetBuilder.
-    common::Rng env_rng(common::derive_seed(seed, 69));
-    const face::FaceModel victim = face::make_volunteer_face(ordinal % 10);
-    std::uint64_t session_seed;
-    if (attacker) {
-      reenact::ReenactorSpec peer_spec;
-      peer_spec.victim = victim;
-      peer_spec.target_env.screen_distance_m *= env_rng.uniform(0.8, 1.35);
-      peer_spec.target_env.ambient.lux_on_face *= env_rng.uniform(0.55, 1.7);
-      peer_ = std::make_unique<reenact::ReenactmentAttacker>(
-          peer_spec, common::derive_seed(seed, 65));
-      session_seed = common::derive_seed(seed, 66);
-    } else {
-      chat::LegitimateSpec peer_spec;
-      peer_spec.face = victim;
-      peer_spec.camera.drift = drift_plan.camera_drift(2);
-      peer_spec.screen_distance_m *= env_rng.uniform(0.8, 1.35);
-      peer_spec.ambient.lux_on_face *= env_rng.uniform(0.55, 1.7);
-      peer_ = std::make_unique<chat::LegitimateRespondent>(
-          peer_spec, common::derive_seed(seed, 63));
-      session_seed = common::derive_seed(seed, 64);
-    }
-
-    chat::SessionSpec session_spec;
-    session_spec.duration_s = spec.duration_s;
-    session_spec.sample_rate_hz = spec.sample_rate_hz;
-    session_spec.warmup_s = spec.warmup_s;
-    session_spec.faults = spec.faults;
-    source_ = std::make_unique<chat::SessionFrameSource>(
-        session_spec, *alice_, *peer_, session_seed);
-  }
-
-  chat::FramePair next() override { return source_->next(); }
-
- private:
-  std::unique_ptr<chat::AliceStream> alice_;
-  std::unique_ptr<chat::RespondentModel> peer_;
-  std::unique_ptr<chat::SessionFrameSource> source_;
-};
-
-/// Cheap stand-in for tests: tiny flat frames whose luminance follows a
-/// square-ish wave — correlated with the transmitted signal for legitimate
-/// sessions, independent for attackers. No rendering, no optics; two orders
-/// of magnitude cheaper per tick than the full chat.
-class SyntheticChatSource final : public ChatSource {
- public:
-  SyntheticChatSource(const LoadSpec& spec, std::size_t ordinal,
-                      bool attacker)
-      : rate_hz_(spec.sample_rate_hz),
-        attacker_(attacker),
-        rng_(common::derive_seed(common::derive_seed(spec.master_seed,
-                                                     ordinal),
-                                 91)) {
-    phase_ = rng_.uniform(0.0, 6.28);
-  }
-
-  chat::FramePair next() override {
-    const double t = static_cast<double>(tick_++) / rate_hz_;
-    const double square =
-        std::sin(0.8 * t + phase_) > 0.0 ? 1.0 : -1.0;
-    const double tx = 120.0 + 55.0 * square + rng_.gaussian(0.0, 2.0);
-    const double rx =
-        attacker_ ? 110.0 + 45.0 * std::sin(1.7 * t + 1.0) +
-                        rng_.gaussian(0.0, 2.0)
-                  : 0.5 * tx + 30.0 + rng_.gaussian(0.0, 1.0);
-    return chat::FramePair{t, flat_frame(tx), flat_frame(rx)};
-  }
-
- private:
-  [[nodiscard]] static image::Image flat_frame(double v) {
-    return image::Image(8, 8, image::Pixel{v, v, v});
-  }
-
-  double rate_hz_;
-  bool attacker_;
-  common::Rng rng_;
-  double phase_ = 0.0;
-  std::uint64_t tick_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<ChatSource> make_chat_source(const LoadSpec& spec,
-                                             std::size_t ordinal,
-                                             bool attacker) {
-  if (spec.full_chat) {
-    return std::make_unique<FullChatSource>(spec, ordinal, attacker);
-  }
-  return std::make_unique<SyntheticChatSource>(spec, ordinal, attacker);
+std::unique_ptr<reenact::CallSource> make_chat_source(const LoadSpec& spec,
+                                                      std::size_t ordinal,
+                                                      bool attacker) {
+  // One call per ordinal; seed streams as documented in reenact/call.hpp.
+  reenact::CallRecipe recipe;
+  recipe.session.duration_s = spec.duration_s;
+  recipe.session.sample_rate_hz = spec.sample_rate_hz;
+  recipe.session.warmup_s = spec.warmup_s;
+  recipe.session.faults = spec.faults;
+  recipe.victim = face::make_volunteer_face(ordinal % 10);
+  return reenact::make_call(
+      recipe, common::derive_seed(spec.master_seed, ordinal),
+      attacker ? reenact::PeerRole::kAttacker : reenact::PeerRole::kLegitimate,
+      spec.full_chat);
 }
 
 bool load_session_is_attacker(const LoadSpec& spec, std::size_t ordinal) {
@@ -165,6 +62,8 @@ LoadReport run_load(const LoadSpec& spec, const ServiceConfig& service_config,
                     std::shared_ptr<model::ModelRegistry> models,
                     obs::ExplanationSink* sink, common::ThreadPool* pool,
                     obs::MetricsRegistry* registry) {
+  const std::size_t total_ticks =
+      chat::tick_count(spec.duration_s, spec.sample_rate_hz);
   SessionManager manager(service_config, streaming, std::move(models), sink);
   FrameScheduler scheduler(pool, registry);
   manager.attach_scheduler(&scheduler);
@@ -176,7 +75,7 @@ LoadReport run_load(const LoadSpec& spec, const ServiceConfig& service_config,
     SessionId id = 0;
     std::size_t ordinal = 0;
     bool attacker = false;
-    std::unique_ptr<ChatSource> source;
+    std::unique_ptr<reenact::CallSource> source;
   };
 
   // Admission (serial: ids must be assigned in ordinal order so that runs
@@ -203,8 +102,6 @@ LoadReport run_load(const LoadSpec& spec, const ServiceConfig& service_config,
     });
   }
 
-  const auto total_ticks = static_cast<std::size_t>(
-      std::llround(spec.duration_s * spec.sample_rate_hz));
   const std::size_t stride = std::max<std::size_t>(1, spec.ticks_per_pump);
 
   std::atomic<std::size_t> fed{0};

@@ -16,11 +16,11 @@
 #include <memory>
 #include <vector>
 
-#include "chat/frame_source.hpp"
 #include "common/thread_pool.hpp"
 #include "core/streaming.hpp"
 #include "core/voting.hpp"
 #include "faults/fault_config.hpp"
+#include "reenact/call.hpp"
 #include "service/scheduler.hpp"
 #include "service/session_manager.hpp"
 
@@ -42,8 +42,9 @@ struct LoadSpec {
   /// own feed/drain interleaving, which this driver fixes.
   std::size_t ticks_per_pump = 2;
   /// Full chat simulation (face renderers, optics, codec, network) when
-  /// true; a cheap synthetic luminance source when false (used by unit
-  /// tests, where per-frame cost matters more than realism).
+  /// true; the cheap 8x8 synthetic stand-in (reenact::make_call) when false
+  /// (used by unit tests and the socket bench, where per-frame cost matters
+  /// more than realism).
   bool full_chat = true;
   /// Degradations injected into every simulated chat (full_chat only).
   /// All-zero severities are an exact no-op — same frames, same verdicts.
@@ -83,19 +84,12 @@ struct LoadReport {
 [[nodiscard]] bool load_session_is_attacker(const LoadSpec& spec,
                                             std::size_t ordinal);
 
-/// Per-session frame producer: the "client side" of one simulated chat.
-class ChatSource {
- public:
-  virtual ~ChatSource() = default;
-  [[nodiscard]] virtual chat::FramePair next() = 0;
-};
-
-/// Builds simulated chat `ordinal`'s frame source — the exact producer
-/// run_load drives internally (full chat or synthetic per spec.full_chat,
-/// a pure function of (spec, ordinal, attacker)). Exposed so alternative
-/// front-ends — the wire-fed socket bench — can feed bit-identical streams
-/// through a different transport.
-[[nodiscard]] std::unique_ptr<ChatSource> make_chat_source(
+/// Builds simulated chat `ordinal`'s frame source — the "client side" of
+/// one chat and the exact producer run_load drives internally (full chat or
+/// synthetic per spec.full_chat, a pure function of (spec, ordinal,
+/// attacker)). Exposed so alternative front-ends — the wire-fed socket
+/// bench — can feed bit-identical streams through a different transport.
+[[nodiscard]] std::unique_ptr<reenact::CallSource> make_chat_source(
     const LoadSpec& spec, std::size_t ordinal, bool attacker);
 
 /// Runs the scenario against sessions built from `streaming` with the

@@ -1,14 +1,18 @@
 #include "wire/socket_load.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "chat/session.hpp"
 #include "common/thread_pool.hpp"
 #include "core/voting.hpp"
 #include "wire/client.hpp"
@@ -28,7 +32,7 @@ struct Chat {
   bool admitted = false;
   service::SessionId session = 0;
   std::uint32_t seq = 0;
-  std::unique_ptr<service::ChatSource> source;
+  std::unique_ptr<reenact::CallSource> source;
   std::vector<VerdictMsg> verdicts;  ///< as received off the wire
 };
 
@@ -84,6 +88,8 @@ service::LoadReport run_socket_load(const service::LoadSpec& spec,
                                     const SocketLoadOptions& options,
                                     common::ThreadPool* pool,
                                     obs::MetricsRegistry* registry) {
+  const std::size_t total_ticks =
+      chat::tick_count(spec.duration_s, spec.sample_rate_hz);
   service::LoadReport report;
   service::SessionManager manager(service_cfg, streaming, std::move(models));
   service::FrameScheduler scheduler(pool, registry);
@@ -138,18 +144,26 @@ service::LoadReport run_socket_load(const service::LoadSpec& spec,
       64;
   server_cfg.flight_recorder = options.flight_recorder;
   WireServer server(manager, &scheduler, server_cfg, registry);
-  if (!options.listen_path.empty()) {
-    // Live-monitoring side door: lumichat_stat connects here and speaks
-    // Stats requests while the load runs.
-    (void)server.listen_unix(options.listen_path);
+  // Live-monitoring side door: lumichat_stat connects here and speaks
+  // Stats requests while the load runs.
+  if (!options.listen_path.empty() &&
+      !server.listen_unix(options.listen_path)) {
+    throw std::runtime_error("run_socket_load: cannot listen on " +
+                             options.listen_path);
   }
 
   std::vector<std::unique_ptr<WireClient>> clients;
   clients.reserve(n_conns);
   for (std::size_t c = 0; c < n_conns; ++c) {
     int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0 || !server.adopt(sv[0])) {
-      return report;  // out of fds — nothing sensible to report
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+      throw std::system_error(errno, std::generic_category(),
+                              "run_socket_load: socketpair");
+    }
+    if (!server.adopt(sv[0])) {
+      ::close(sv[0]);
+      ::close(sv[1]);
+      throw std::runtime_error("run_socket_load: server refused a connection");
     }
     clients.push_back(std::make_unique<WireClient>(sv[1], 1024, registry));
   }
@@ -182,8 +196,6 @@ service::LoadReport run_socket_load(const service::LoadSpec& spec,
   }
 
   // --- Drive loop: generate -> encode -> flush/poll interleave -----------
-  const auto total_ticks = static_cast<std::size_t>(
-      std::llround(spec.duration_s * spec.sample_rate_hz));
   const std::size_t stride = std::max<std::size_t>(1, spec.ticks_per_pump);
 
   // Monitoring traffic (heartbeats, stats requests) rides connection 0 on

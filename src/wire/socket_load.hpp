@@ -4,7 +4,7 @@
 //
 // The harness builds K socketpair connections (session ordinal -> connection
 // ordinal % K, stream id ordinal + 1), opens one wire stream per simulated
-// chat, and drives the same ChatSource frame streams run_load drives —
+// chat, and drives the same make_chat_source frame streams run_load drives —
 // encode, flush, server poll, client poll interleaved on one thread so
 // neither side ever blocks on a full kernel buffer. Verdicts come back as
 // wire messages and are collected per stream; the returned LoadReport is
@@ -52,7 +52,11 @@ struct SocketLoadOptions {
 /// ordinal order; ids are the server-assigned (shard-pinned) session ids.
 /// `pool` feeds the FrameScheduler (nullptr drains inline on the driving
 /// thread); `registry` additionally receives the server's wire.* counters
-/// and wire.push_to_verdict histogram.
+/// and wire.push_to_verdict histogram. Setup failures throw rather than
+/// return a report: std::runtime_error when options.listen_path cannot be
+/// listened on or the server refuses a connection, std::system_error when
+/// a socketpair cannot be made, std::invalid_argument when the spec's
+/// duration is not a tick count (chat::tick_count).
 [[nodiscard]] service::LoadReport run_socket_load(
     const service::LoadSpec& spec,
     const service::ServiceConfig& service_config,

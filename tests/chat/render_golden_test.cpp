@@ -1,10 +1,12 @@
 // Golden regression for the rendered bits of the chat simulator: a fixed
 // (profile, master seed, volunteer, clip) must keep producing exactly the
-// same f64 frames, on both sides of the chat, for a legitimate user and a
-// reenactment attacker. The CRC-32 runs over the raw IEEE-754 bytes of
-// every transmitted and received frame, so a change in any camera-noise
-// draw, codec rounding or exposure step shows up here even when it is too
-// small to move the Fig. 11 TAR/TRR golden.
+// same f64 frames, on both sides of the chat, for a legitimate user, a
+// reenactment attacker and an adaptive attacker, and likewise for the
+// service load generator's chats (with and without injected faults, which
+// covers camera drift and the link injectors). The CRC-32 runs over the raw
+// IEEE-754 bytes of every transmitted and received frame, so a change in
+// any camera-noise draw, codec rounding or exposure step shows up here even
+// when it is too small to move the Fig. 11 TAR/TRR golden.
 //
 // Performance work on the simulator (batched normal draws, SIMD develop
 // and codec kernels) must leave these values alone under every kernel
@@ -19,6 +21,8 @@
 #include "chat/video.hpp"
 #include "eval/dataset.hpp"
 #include "eval/population.hpp"
+#include "faults/fault_config.hpp"
+#include "service/load_generator.hpp"
 #include "wire/crc32.hpp"
 
 namespace lumichat::eval {
@@ -54,30 +58,75 @@ SimulationProfile short_profile() {
 // landed: the per-pixel std::normal_distribution path produced these.
 constexpr SessionCrcs kLegitGolden{0x0569b630u, 0x144720ccu};
 constexpr SessionCrcs kAttackerGolden{0x61213bd0u, 0x80fd4e43u};
+// Pinned before the dataset, the load generator and the scenario engine
+// were rebuilt on one simulated-call recipe.
+constexpr SessionCrcs kAdaptiveGolden{0x70d632e1u, 0xa246133du};
+constexpr SessionCrcs kLoadLegitGolden{0x9482493au, 0x9205f25bu};
+constexpr SessionCrcs kLoadAttackerGolden{0x436cb301u, 0x48af3e7au};
+constexpr SessionCrcs kLoadFaultedGolden{0x1bfac094u, 0x5e7b8d9du};
+
+service::LoadSpec short_load() {
+  service::LoadSpec spec;  // full chat, 1 s warm-up
+  spec.duration_s = 2.0;
+  spec.master_seed = 20200707;
+  return spec;
+}
+
+/// The first 20 frame pairs of load-generator chat `ordinal`.
+chat::SessionTrace load_trace(const service::LoadSpec& spec,
+                              std::size_t ordinal, bool attacker) {
+  const auto source = service::make_chat_source(spec, ordinal, attacker);
+  chat::SessionTrace trace;
+  for (std::size_t i = 0; i < 20; ++i) {
+    chat::FramePair pair = source->next();
+    trace.transmitted.frames.push_back(std::move(pair.transmitted));
+    trace.received.frames.push_back(std::move(pair.received));
+  }
+  return trace;
+}
+
+void expect_golden(const char* name, const chat::SessionTrace& trace,
+                   const SessionCrcs& golden) {
+  ASSERT_EQ(trace.transmitted.size(), 20u);
+  ASSERT_EQ(trace.received.size(), 20u);
+  const SessionCrcs got = trace_crcs(trace);
+  std::printf("%s = {0x%08xu, 0x%08xu}\n", name, got.transmitted,
+              got.received);
+  EXPECT_EQ(got.transmitted, golden.transmitted);
+  EXPECT_EQ(got.received, golden.received);
+}
 
 TEST(RenderGolden, LegitSessionFramesAreFrozen) {
   const DatasetBuilder data(short_profile());
   const auto pop = make_population(1);
-  const auto trace = data.legit_trace(pop[0], 3);
-  ASSERT_EQ(trace.transmitted.size(), 20u);
-  ASSERT_EQ(trace.received.size(), 20u);
-  const SessionCrcs got = trace_crcs(trace);
-  std::printf("legit = {0x%08xu, 0x%08xu}\n", got.transmitted, got.received);
-  EXPECT_EQ(got.transmitted, kLegitGolden.transmitted);
-  EXPECT_EQ(got.received, kLegitGolden.received);
+  expect_golden("legit", data.legit_trace(pop[0], 3), kLegitGolden);
 }
 
 TEST(RenderGolden, AttackerSessionFramesAreFrozen) {
   const DatasetBuilder data(short_profile());
   const auto pop = make_population(1);
-  const auto trace = data.attacker_trace(pop[0], 3);
-  ASSERT_EQ(trace.transmitted.size(), 20u);
-  ASSERT_EQ(trace.received.size(), 20u);
-  const SessionCrcs got = trace_crcs(trace);
-  std::printf("attacker = {0x%08xu, 0x%08xu}\n", got.transmitted,
-              got.received);
-  EXPECT_EQ(got.transmitted, kAttackerGolden.transmitted);
-  EXPECT_EQ(got.received, kAttackerGolden.received);
+  expect_golden("attacker", data.attacker_trace(pop[0], 3), kAttackerGolden);
+}
+
+TEST(RenderGolden, AdaptiveSessionFramesAreFrozen) {
+  const DatasetBuilder data(short_profile());
+  const auto pop = make_population(1);
+  expect_golden("adaptive", data.adaptive_trace(pop[0], 3, 0.5),
+                kAdaptiveGolden);
+}
+
+TEST(RenderGolden, LoadGeneratorChatFramesAreFrozen) {
+  expect_golden("load_legit", load_trace(short_load(), 3, false),
+                kLoadLegitGolden);
+  expect_golden("load_attacker", load_trace(short_load(), 4, true),
+                kLoadAttackerGolden);
+}
+
+TEST(RenderGolden, FaultedLoadGeneratorChatFramesAreFrozen) {
+  service::LoadSpec spec = short_load();
+  spec.faults = faults::FaultConfig::uniform(0.3);
+  expect_golden("load_faulted", load_trace(spec, 5, false),
+                kLoadFaultedGolden);
 }
 
 }  // namespace

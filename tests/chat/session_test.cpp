@@ -1,6 +1,12 @@
 #include "chat/session.hpp"
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
+
+#include "chat/frame_source.hpp"
 
 #include "image/luminance.hpp"
 #include "signal/stats.hpp"
@@ -32,6 +38,41 @@ TEST(Session, CustomRateAndDuration) {
   const SessionTrace trace = run_session(spec, alice, bob, 3);
   EXPECT_EQ(trace.transmitted.size(), 40u);
   EXPECT_EQ(trace.received.size(), 40u);
+}
+
+TEST(Session, TickCountRoundsToTheNearestTick) {
+  EXPECT_EQ(tick_count(15.0, 10.0), 150u);
+  EXPECT_EQ(tick_count(0.26, 10.0), 3u);
+  EXPECT_EQ(tick_count(0.0, 10.0), 0u);
+}
+
+TEST(Session, TickCountRejectsNonFiniteNegativeAndOverflowingCounts) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)tick_count(nan, 10.0), std::invalid_argument);
+  EXPECT_THROW((void)tick_count(1.0, nan), std::invalid_argument);
+  EXPECT_THROW((void)tick_count(inf, 10.0), std::invalid_argument);
+  EXPECT_THROW((void)tick_count(0.0, inf), std::invalid_argument);
+  EXPECT_THROW((void)tick_count(-1.0, 10.0), std::invalid_argument);
+  EXPECT_THROW((void)tick_count(1e300, 10.0), std::invalid_argument);
+  EXPECT_THROW((void)tick_count(std::ldexp(1.0, 63), 1.0),
+               std::invalid_argument);
+}
+
+TEST(Session, NanDurationThrowsInsteadOfSizingTheClip) {
+  SessionSpec spec;
+  spec.duration_s = std::numeric_limits<double>::quiet_NaN();
+  AliceStream alice = make_alice(1);
+  LegitimateRespondent bob(LegitimateSpec{}, 2);
+  EXPECT_THROW((void)run_session(spec, alice, bob, 3), std::invalid_argument);
+}
+
+TEST(Session, NanWarmupThrowsAtFrameSourceConstruction) {
+  SessionSpec spec;
+  spec.warmup_s = std::numeric_limits<double>::quiet_NaN();
+  AliceStream alice = make_alice(1);
+  LegitimateRespondent bob(LegitimateSpec{}, 2);
+  EXPECT_THROW(SessionFrameSource(spec, alice, bob, 3), std::invalid_argument);
 }
 
 TEST(Session, WarmupEliminatesStartupTransient) {

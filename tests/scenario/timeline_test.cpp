@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "obs/json.hpp"
 #include "scenario/library.hpp"
 
@@ -43,20 +45,6 @@ TEST(Timeline, TotalCallersSumsGroupCounts) {
   EXPECT_EQ(spec.total_callers(), 5u);
 }
 
-TEST(Timeline, UsesActorSeesInitialActorsAndSwaps) {
-  ScenarioSpec spec = minimal_spec();
-  EXPECT_TRUE(spec.uses_actor(Actor::kLegitimate));
-  EXPECT_FALSE(spec.uses_actor(Actor::kReenactor));
-
-  spec.callers[0].events = {swap_actor(5.0, Actor::kReenactor)};
-  EXPECT_TRUE(spec.uses_actor(Actor::kReenactor));
-
-  ScenarioSpec attacker_only = minimal_spec();
-  attacker_only.callers[0].initial_actor = Actor::kReenactor;
-  EXPECT_TRUE(attacker_only.uses_actor(Actor::kReenactor));
-  EXPECT_FALSE(attacker_only.uses_actor(Actor::kLegitimate));
-}
-
 TEST(Timeline, ValidateAcceptsEveryLibraryCampaign) {
   for (const ScenarioSpec& spec : standard_campaigns()) {
     EXPECT_EQ(validate(spec), "") << spec.name;
@@ -73,6 +61,18 @@ TEST(Timeline, ValidateRejectsStructuralProblems) {
     ScenarioSpec spec = minimal_spec();
     spec.duration_s = 0.0;
     EXPECT_NE(validate(spec), "");
+  }
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ScenarioSpec spec = minimal_spec();
+    spec.duration_s = bad;
+    EXPECT_NE(validate(spec), "") << "duration_s " << bad;
+    spec = minimal_spec();
+    spec.warmup_s = bad;
+    EXPECT_NE(validate(spec), "") << "warmup_s " << bad;
+    spec = minimal_spec();
+    spec.sample_rate_hz = bad;
+    EXPECT_NE(validate(spec), "") << "sample_rate_hz " << bad;
   }
   {
     ScenarioSpec spec = minimal_spec();

@@ -5,6 +5,8 @@
 // dropping frames.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -119,6 +121,18 @@ TEST(ServiceDeterminism, GroundTruthAssignmentIsAPureFunction) {
   // With fraction 0.5 the split should be roughly balanced.
   EXPECT_GT(attackers, spec.n_sessions / 5);
   EXPECT_LT(attackers, spec.n_sessions * 4 / 5);
+}
+
+TEST(ServiceLoad, NanDurationThrowsInsteadOfDriving) {
+  LoadSpec spec = small_scenario();
+  spec.duration_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)run_load(spec, small_service(),
+                              testutil::test_streaming_config(),
+                              testutil::trained_registry()),
+               std::invalid_argument);
+  spec.full_chat = true;  // the full chat refuses to build at all
+  spec.n_sessions = 1;
+  EXPECT_THROW((void)make_chat_source(spec, 0, false), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // score bit pattern, and final vote. This is what licenses the socket bench
 // to report service-level accuracy numbers.
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -118,6 +120,24 @@ TEST(WireEndToEnd, SocketRunIsDeterministicAcrossThreadCounts) {
       run_socket_load(spec, service_cfg, streaming, trained_registry(),
                       SocketLoadOptions{}, &pool);
   expect_bit_identical(serial, threaded);
+}
+
+TEST(WireEndToEnd, UnlistenablePathThrowsInsteadOfReportingARun) {
+  SocketLoadOptions options;
+  options.listen_path = "/nonexistent-lumichat-dir/stats.sock";
+  EXPECT_THROW((void)run_socket_load(e2e_spec(), e2e_service_config(),
+                                     test_streaming_config(),
+                                     trained_registry(), options),
+               std::runtime_error);
+}
+
+TEST(WireEndToEnd, NanDurationThrowsInsteadOfDriving) {
+  service::LoadSpec spec = e2e_spec();
+  spec.duration_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)run_socket_load(spec, e2e_service_config(),
+                                     test_streaming_config(),
+                                     trained_registry()),
+               std::invalid_argument);
 }
 
 }  // namespace
