@@ -4,15 +4,10 @@
 // clip complete "within 0.2 seconds" even in a naive Matlab/Python
 // implementation, and landmark detection runs at hundreds of fps — i.e. the
 // defense is cheap enough for phones. These benchmarks measure our C++
-// implementation of each stage, plus the cost of the observability layer
-// itself: BM_ObsSpanDisabled vs BM_ObsSpanEnabled, and the full detect path
-// traced vs untraced (the <1%-when-off claim in DESIGN.md §Observability).
-// BM_StdNormalFill, BM_CameraCapture96x72, BM_CodecTranscode96x72 and
-// BM_ChatTick time the chat simulator that produces the frames
-// (bench/BENCH_render.json).
+// implementation of each stage. BM_StdNormalFill, BM_CameraCapture96x72,
+// BM_CodecTranscode96x72 and BM_ChatTick time the chat simulator that
+// produces the frames (bench/BENCH_render.json).
 //
-//   ./bench_perf --trace-out perf.trace.json   # also emit a Chrome trace
-//                                              # (or LUMICHAT_TRACE=path)
 //   ./bench_perf --simd-json BENCH_simd.json  # scalar-vs-AVX2 per-kernel
 //                                             # timings + bit-equality gate
 #include <benchmark/benchmark.h>
@@ -38,7 +33,6 @@
 #include "face/landmark_detector.hpp"
 #include "face/renderer.hpp"
 #include "image/luminance.hpp"
-#include "obs/trace.hpp"
 #include "optics/camera.hpp"
 #include "model/snapshot.hpp"
 #include "service/load_generator.hpp"
@@ -144,63 +138,6 @@ void BM_LofTraining20Instances(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LofTraining20Instances);
-
-// --- Observability-layer overhead ------------------------------------------
-
-/// Restores the previously active tracer (if any) on scope exit, so a
-/// benchmark that installs its own tracer composes with --trace-out.
-struct ScopedTracerSwap {
-  explicit ScopedTracerSwap(obs::Tracer& t) : prev(obs::Tracer::active()) {
-    t.install();
-  }
-  ~ScopedTracerSwap() {
-    if (prev != nullptr) {
-      prev->install();
-    } else {
-      obs::Tracer::uninstall();
-    }
-  }
-  obs::Tracer* prev;
-};
-
-/// The disabled-path cost of one ObsSpan guard: one relaxed atomic load, a
-/// branch, and a trivially dead destructor. This is what every traced stage
-/// pays when no tracer is installed — it must stay in the ~1 ns range.
-void BM_ObsSpanDisabled(benchmark::State& state) {
-  obs::Tracer* prev = obs::Tracer::active();
-  obs::Tracer::uninstall();
-  for (auto _ : state) {
-    const obs::ObsSpan span("bench.noop", "bench");
-    benchmark::DoNotOptimize(&span);
-  }
-  if (prev != nullptr) prev->install();
-}
-BENCHMARK(BM_ObsSpanDisabled);
-
-/// The enabled-path cost: logical-clock tick, wall-clock read, and one
-/// record appended to the thread-local bounded buffer.
-void BM_ObsSpanEnabled(benchmark::State& state) {
-  obs::Tracer tracer;
-  const ScopedTracerSwap swap(tracer);
-  for (auto _ : state) {
-    const obs::ObsSpan span("bench.noop", "bench");
-    benchmark::DoNotOptimize(&span);
-  }
-}
-BENCHMARK(BM_ObsSpanEnabled);
-
-/// Full detect path with tracing ON — compare against BM_DetectFull15sClip
-/// for the end-to-end overhead of live tracing (spans are per-stage, not
-/// per-sample, so the delta should be far under 1%).
-void BM_DetectFull15sClipTraced(benchmark::State& state) {
-  Fixtures& f = fixtures();
-  obs::Tracer tracer;
-  const ScopedTracerSwap swap(tracer);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.detector.detect(f.trace));
-  }
-}
-BENCHMARK(BM_DetectFull15sClipTraced)->Unit(benchmark::kMillisecond);
 
 // --- Chat-simulator render cost ---------------------------------------------
 //
@@ -591,18 +528,13 @@ int run_simd_json(const std::string& path) {
 
 }  // namespace
 
-// Custom main (instead of benchmark::benchmark_main) so a Chrome trace of
-// the benchmarked pipeline stages can be requested: --trace-out PATH (or
-// LUMICHAT_TRACE=PATH) installs a process tracer for the whole run and
-// writes the trace plus a per-stage timing summary (PATH.stages.json).
+// Custom main (instead of benchmark::benchmark_main) for the standalone
+// --simd-json mode, which skips the google-benchmark suite.
 int main(int argc, char** argv) {
-  std::string trace_out = lumichat::obs::env_trace_path();
   std::string simd_json;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--simd-json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--simd-json") == 0 && i + 1 < argc) {
       simd_json = argv[++i];
     } else {
       argv[kept++] = argv[i];
@@ -617,26 +549,7 @@ int main(int argc, char** argv) {
   register_simd_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-
-  lumichat::obs::Tracer tracer;
-  if (!trace_out.empty()) tracer.install();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-
-  if (!trace_out.empty()) {
-    lumichat::obs::Tracer::uninstall();
-    if (!tracer.write_chrome_trace(trace_out)) {
-      std::fprintf(stderr, "cannot write trace to %s\n", trace_out.c_str());
-      return 1;
-    }
-    const std::string stages_out = trace_out + ".stages.json";
-    if (std::FILE* f = std::fopen(stages_out.c_str(), "wb")) {
-      const std::string summary = tracer.stage_summary_json();
-      std::fwrite(summary.data(), 1, summary.size(), f);
-      std::fclose(f);
-    }
-    std::fprintf(stderr, "[trace] %s + %s (%zu spans)\n", trace_out.c_str(),
-                 stages_out.c_str(), tracer.snapshot().size());
-  }
   return 0;
 }

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/rng.hpp"
-#include "obs/trace.hpp"
 
 namespace lumichat::chat {
 
@@ -52,7 +51,6 @@ void SessionFrameSource::apply_faults(const faults::FaultConfig& config,
 }
 
 FramePair SessionFrameSource::next() {
-  const obs::ObsSpan span("chat.tick", "chat");
   for (;;) {
     const double t = static_cast<double>(tick_) / spec_.sample_rate_hz;
 

@@ -1,7 +1,5 @@
 #include "core/detector.hpp"
 
-#include "obs/trace.hpp"
-
 namespace lumichat::core {
 
 Detector::Detector(DetectorConfig config)
@@ -26,14 +24,8 @@ void Detector::attach_model(
 }
 
 DetectionResult Detector::detect_impl(const chat::SessionTrace& trace) const {
-  const obs::ObsSpan span("detect.round");
-  signal::Signal t_raw;
-  ReceivedExtraction r_raw;
-  {
-    const obs::ObsSpan lum_span("detect.luminance");
-    t_raw = extractor_.transmitted_signal(trace.transmitted);
-    r_raw = extractor_.received_signal(trace.received);
-  }
+  const signal::Signal t_raw = extractor_.transmitted_signal(trace.transmitted);
+  const ReceivedExtraction r_raw = extractor_.received_signal(trace.received);
   const double r_completeness =
       r_raw.luminance.empty()
           ? 0.0

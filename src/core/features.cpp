@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/trace.hpp"
 #include "signal/delay.hpp"
 #include "signal/dtw.hpp"
 #include "signal/stats.hpp"
@@ -71,7 +70,6 @@ double FeatureExtractor::estimate_delay_s(
 FeatureExtraction FeatureExtractor::extract(
     const PreprocessResult& transmitted,
     const PreprocessResult& received) const {
-  const obs::ObsSpan span("features.extract");
   FeatureExtraction out;
   FeatureDiagnostics& diag = out.diagnostics;
   FeatureVector& z = out.features;

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/trace.hpp"
-
 namespace lumichat::core {
 
 LofClassifier::LofClassifier(std::size_t k, double tau) : k_(k), tau_(tau) {
@@ -25,7 +23,6 @@ void LofClassifier::attach(
 }
 
 double LofClassifier::score(const FeatureVector& z) const {
-  const obs::ObsSpan span("lof.score");
   if (!is_fitted()) {
     throw std::logic_error("LofClassifier::score: no model attached");
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/trace.hpp"
 #include "signal/fir.hpp"
 #include "signal/savitzky_golay.hpp"
 #include "signal/threshold.hpp"
@@ -80,7 +79,6 @@ PreprocessResult Preprocessor::process(const signal::Signal& raw,
   if (raw.empty()) return r;
 
   {
-    const obs::ObsSpan span("pre.filter");
     const signal::Signal clean =
         sanitize_non_finite(raw, &r.non_finite_samples);
 
@@ -99,7 +97,6 @@ PreprocessResult Preprocessor::process(const signal::Signal& raw,
         signal::moving_average_centered(s, config_.moving_avg_window);
   }
 
-  const obs::ObsSpan span("pre.change_detect");
   signal::PeakOptions opts;
   opts.min_prominence = min_prominence;
   opts.min_distance = static_cast<std::size_t>(

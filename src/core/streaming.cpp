@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "image/luminance.hpp"
-#include "obs/trace.hpp"
 
 namespace lumichat::core {
 
@@ -75,7 +74,6 @@ std::optional<DetectionResult> StreamingDetector::push(
   }
   if (t_buffer_.size() < window_samples_) return std::nullopt;
 
-  const obs::ObsSpan span("stream.window");
   DetectionResult result = detector_.detect_window(
       t_buffer_, r_buffer_,
       static_cast<double>(real_r_samples_) /

@@ -1,12 +1,9 @@
 #include "core/voting.hpp"
 
-#include "obs/trace.hpp"
-
 namespace lumichat::core {
 
 VoteOutcome majority_vote(const std::vector<bool>& rounds,
                           double vote_fraction) {
-  const obs::ObsSpan span("vote.majority");
   VoteOutcome out;
   out.total_votes = rounds.size();
   for (const bool v : rounds) {
@@ -20,7 +17,6 @@ VoteOutcome majority_vote(const std::vector<bool>& rounds,
 
 VoteOutcome majority_vote(const std::vector<Verdict>& rounds,
                           double vote_fraction) {
-  const obs::ObsSpan span("vote.majority");
   VoteOutcome out;
   for (const Verdict v : rounds) {
     switch (v) {

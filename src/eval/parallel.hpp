@@ -23,7 +23,6 @@
 #include "eval/dataset.hpp"
 #include "eval/experiment.hpp"
 #include "eval/population.hpp"
-#include "obs/trace.hpp"
 
 namespace lumichat::eval {
 
@@ -39,7 +38,6 @@ template <typename T>
     common::ThreadPool* pool = nullptr) {
   std::vector<T> out(n_rounds);
   common::for_each_index(pool, n_rounds, [&](std::size_t r) {
-    const obs::ObsSpan span("eval.round", "eval");
     out[r] = fn(r, common::derive_seed(master_seed, r));
   });
   return out;

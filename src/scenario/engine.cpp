@@ -10,7 +10,6 @@
 #include "chat/session.hpp"
 #include "common/rng.hpp"
 #include "face/face_model.hpp"
-#include "obs/trace.hpp"
 #include "reenact/call.hpp"
 #include "service/scheduler.hpp"
 
@@ -168,8 +167,6 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
   report.error = validate(spec);
   if (!report.error.empty()) return report;
 
-  const obs::ObsSpan scenario_span("scenario.run", "scenario");
-
   const std::size_t total_ticks =
       chat::tick_count(spec.duration_s, spec.sample_rate_hz);
   service::SessionManager manager(service_config, streaming,
@@ -199,14 +196,11 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     }
   }
 
-  {
-    const obs::ObsSpan span("scenario.build_chats", "scenario");
-    common::for_each_index(pool, callers.size(), [&](std::size_t c) {
-      if (!callers[c].id.has_value()) return;  // rejected at admission
-      callers[c].source =
-          make_source(spec, *callers[c].script, callers[c].out.ordinal);
-    });
-  }
+  common::for_each_index(pool, callers.size(), [&](std::size_t c) {
+    if (!callers[c].id.has_value()) return;  // rejected at admission
+    callers[c].source =
+        make_source(spec, *callers[c].script, callers[c].out.ordinal);
+  });
 
   const std::size_t stride = std::max<std::size_t>(1, spec.ticks_per_pump);
 

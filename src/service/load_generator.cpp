@@ -9,7 +9,6 @@
 #include "chat/session.hpp"
 #include "common/rng.hpp"
 #include "face/face_model.hpp"
-#include "obs/trace.hpp"
 
 namespace lumichat::service {
 
@@ -94,13 +93,10 @@ LoadReport run_load(const LoadSpec& spec, const ServiceConfig& service_config,
   }
 
   // Chat construction fans out: each simulated client is independent.
-  {
-    const obs::ObsSpan span("load.build_chats", "load");
-    common::for_each_index(pool, chats.size(), [&](std::size_t c) {
-      chats[c].source =
-          make_chat_source(spec, chats[c].ordinal, chats[c].attacker);
-    });
-  }
+  common::for_each_index(pool, chats.size(), [&](std::size_t c) {
+    chats[c].source =
+        make_chat_source(spec, chats[c].ordinal, chats[c].attacker);
+  });
 
   const std::size_t stride = std::max<std::size_t>(1, spec.ticks_per_pump);
 

@@ -3,8 +3,6 @@
 #include <atomic>
 #include <utility>
 
-#include "obs/trace.hpp"
-
 namespace lumichat::service {
 
 FrameScheduler::FrameScheduler(common::ThreadPool* pool,
@@ -46,7 +44,6 @@ void FrameScheduler::drain_task(
 }
 
 std::size_t FrameScheduler::pump() {
-  const obs::ObsSpan span("service.pump", "service");
   if (pumps_ != nullptr) pumps_->add();
   std::atomic<std::size_t> processed{0};
   for (;;) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/trace.hpp"
-
 namespace lumichat::service {
 
 ServiceInstruments::ServiceInstruments(obs::MetricsRegistry& registry)
@@ -59,7 +57,6 @@ bool ServiceSession::try_mark_ready() {
 }
 
 std::size_t ServiceSession::drain() {
-  const obs::ObsSpan span("service.drain", "service");
   drain_batch_.clear();
   {
     const std::lock_guard<std::mutex> lock(queue_mu_);

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/env.hpp"
-#include "obs/trace.hpp"
 #include "service/scheduler.hpp"
 
 namespace lumichat::service {
@@ -55,19 +54,16 @@ core::StreamingDetector SessionManager::checkout_detector() {
   return detector;
 }
 
-bool SessionManager::reserve_slot() {
+std::optional<SessionId> SessionManager::create() {
   // Optimistic reservation: claim a slot first so two racing creates cannot
   // both squeeze past the cap, release it if that overshot.
   const std::size_t prior = active_.fetch_add(1, std::memory_order_acq_rel);
   if (prior >= config_.max_sessions) {
     active_.fetch_sub(1, std::memory_order_acq_rel);
     instruments_.sessions_rejected.add();
-    return false;
+    return std::nullopt;
   }
-  return true;
-}
-
-void SessionManager::install_session(SessionId id) {
+  const SessionId id = next_id_.fetch_add(1, std::memory_order_relaxed);
   core::StreamingDetector detector = checkout_detector();
   detector.set_stream_id(id);  // labels the session's RoundExplanations
   auto session = std::make_shared<ServiceSession>(
@@ -82,25 +78,6 @@ void SessionManager::install_session(SessionId id) {
     shard.sessions.emplace(id, std::move(session));
   }
   instruments_.sessions_created.add();
-}
-
-std::optional<SessionId> SessionManager::create() {
-  if (!reserve_slot()) return std::nullopt;
-  const SessionId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  install_session(id);
-  return id;
-}
-
-std::optional<SessionId> SessionManager::create_on_shard(std::size_t shard) {
-  if (!reserve_slot()) return std::nullopt;
-  const SessionId n = static_cast<SessionId>(shards_.size());
-  const SessionId target = static_cast<SessionId>(shard) % n;
-  // Pick the id congruent to `target` mod n_shards so the existing
-  // shard_of() routing (id % n_shards) lands on the pinned shard.
-  const SessionId offset = (target + n - kRoutedIdBase % n) % n;
-  const SessionId k = next_routed_k_.fetch_add(1, std::memory_order_relaxed);
-  const SessionId id = kRoutedIdBase + k * n + offset;
-  install_session(id);
   return id;
 }
 
@@ -132,7 +109,6 @@ bool SessionManager::feed(SessionId id, double t_sec,
 }
 
 bool SessionManager::feed(SessionId id, FrameJob&& job) {
-  const obs::ObsSpan span("service.feed", "service");
   const std::shared_ptr<ServiceSession> session = find(id);
   if (session == nullptr) {
     release_frame_job(std::move(job));

@@ -113,12 +113,10 @@ class SessionManager {
   /// Admits a new session, or std::nullopt when at capacity.
   [[nodiscard]] std::optional<SessionId> create();
 
-  /// Admits a new session pinned to `shard` (how the wire layer maps a
-  /// consistent-hash of the client's session token onto a shard). Pinned
-  /// ids come from a reserved high range (kRoutedIdBase) so they never
-  /// collide with create()'s sequential ids, and are constructed to satisfy
-  /// id % n_shards == shard. std::nullopt when at capacity.
-  [[nodiscard]] std::optional<SessionId> create_on_shard(std::size_t shard);
+  /// The shard whose table holds session `id` (id % n_shards).
+  [[nodiscard]] std::size_t shard_index(SessionId id) const {
+    return static_cast<std::size_t>(id % shards_.size());
+  }
 
   /// Feeds one simultaneous frame pair at session time `t_sec`. Thread-safe
   /// for distinct sessions; frames of one session must be fed in order by a
@@ -174,10 +172,6 @@ class SessionManager {
   }
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
 
-  /// First id of the shard-pinned range used by create_on_shard(). High
-  /// enough that create()'s sequential ids can never reach it.
-  static constexpr SessionId kRoutedIdBase = SessionId{1} << 40;
-
  private:
   struct Shard {
     mutable std::mutex mu;
@@ -185,14 +179,10 @@ class SessionManager {
   };
 
   [[nodiscard]] Shard& shard_of(SessionId id) const {
-    return *shards_[id % shards_.size()];
+    return *shards_[shard_index(id)];
   }
   [[nodiscard]] std::shared_ptr<ServiceSession> find(SessionId id) const;
   [[nodiscard]] core::StreamingDetector checkout_detector();
-  /// Claims an admission slot (optimistic reservation); false at capacity.
-  [[nodiscard]] bool reserve_slot();
-  /// Builds the detector + session for `id` and installs it in its shard.
-  void install_session(SessionId id);
 
   ServiceConfig config_;
   core::StreamingConfig streaming_config_;
@@ -200,9 +190,6 @@ class SessionManager {
   obs::ExplanationSink* explain_sink_ = nullptr;  ///< borrowed; may be null
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<SessionId> next_id_{1};
-  /// Counter for the pinned range: id = base + k*n_shards + offset(shard),
-  /// so any two pinned ids differ in k or in residue — never equal.
-  std::atomic<SessionId> next_routed_k_{0};
   std::atomic<std::size_t> active_{0};
   FrameScheduler* scheduler_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;  ///< borrowed; may be null

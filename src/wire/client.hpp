@@ -67,7 +67,7 @@ class WireClient {
   WireClient& operator=(const WireClient&) = delete;
 
   // --- Buffered sends (call flush() to move them onto the wire) ----------
-  // `token` is the stream's session token — the server's shard-routing key;
+  // `token` is the stream's session token (the caller's identity);
   // each stream carries its own (a connection multiplexes many sessions).
   void hello(std::uint64_t token, std::uint32_t stream_id,
              std::uint32_t frame_width, std::uint32_t frame_height,

@@ -9,7 +9,7 @@
 //   4       1     version       protocol version (must be kProtocolVersion)
 //   5       1     type          MsgType
 //   6       2     flags         kFlagEcho only
-//   8       8     session_token caller identity / routing key
+//   8       8     session_token caller identity
 //   16      4     stream_id     one connection multiplexes many streams
 //   20      4     crc32         CRC-32 over header bytes [0,20) + payload
 //
@@ -17,7 +17,7 @@
 // message — including in payload_len — is caught before any payload field
 // is trusted. Messages:
 //
-//   Hello        client -> server   open a stream; token routes to a shard
+//   Hello        client -> server   open a stream
 //   HelloAck     server -> client   assigned service session id (or refusal)
 //   Frame        client -> server   one (transmitted, received) frame pair
 //   Verdict      server -> client   one completed detection window
@@ -135,7 +135,7 @@ enum class HelloStatus : std::uint32_t {
 struct HelloAckMsg {
   std::uint64_t assigned_session = 0;  ///< service SessionId when accepted
   std::uint32_t status = 0;            ///< HelloStatus
-  std::uint32_t shard = 0;             ///< shard the token hashed onto
+  std::uint32_t shard = 0;             ///< session's shard; 0 if refused
 };
 inline constexpr std::size_t kHelloAckPayloadSize = 16;
 

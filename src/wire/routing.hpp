@@ -1,90 +1,17 @@
-// Consistent-hash routing of session tokens onto service shards.
-//
-// Each shard owns `vnodes` pseudo-random points on a 64-bit hash ring; a
-// token routes to the shard owning the first point clockwise from the
-// token's hash. Two properties matter here:
-//
-//   * balance — with enough virtual nodes, shard loads stay within a few
-//     percent of each other for arbitrary token populations;
-//   * stability — removing one shard from the ring only remaps the tokens
-//     that shard owned (~1/n of them); every other token keeps its shard,
-//     which is what keeps session->shard affinity intact across shard
-//     drains in a rolling restart.
-//
-// The ring is immutable after construction and lookups are lock-free
-// (binary search over a sorted vector), so the ingest path can route every
-// Hello without coordination.
+// 64-bit mixing for wire-layer identifiers: the load drivers derive each
+// stream's session token from (seed, ordinal) and each frame's trace id
+// from (token, seq) with it.
 #pragma once
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "common/rng.hpp"
 
 namespace lumichat::wire {
 
-/// SplitMix64 — a well-mixed 64-bit finalizer; deterministic across
-/// platforms so rings built from the same shard list always agree.
+/// SplitMix64 finalizer (the same function as common::splitmix64).
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
+  return common::splitmix64(x);
 }
-
-class ShardRing {
- public:
-  /// Ring over shards {0, 1, ..., n_shards-1}.
-  explicit ShardRing(std::size_t n_shards, std::size_t vnodes = 64,
-                     std::uint64_t seed = 0x5348415244u /* "SHARD" */)
-      : ShardRing(identity(n_shards), vnodes, seed) {}
-
-  /// Ring over an explicit shard set (used to model shard removal: a ring
-  /// without shard s remaps only s's tokens).
-  ShardRing(const std::vector<std::size_t>& shards, std::size_t vnodes = 64,
-            std::uint64_t seed = 0x5348415244u) {
-    points_.reserve(shards.size() * vnodes);
-    for (const std::size_t shard : shards) {
-      for (std::size_t v = 0; v < vnodes; ++v) {
-        const std::uint64_t h =
-            mix64(seed ^ mix64(static_cast<std::uint64_t>(shard) * 0x10001u +
-                               static_cast<std::uint64_t>(v)));
-        points_.push_back({h, shard});
-      }
-    }
-    std::sort(points_.begin(), points_.end());
-  }
-
-  /// Shard owning `token`. Rings are never empty in practice (the server
-  /// constructs one per SessionManager, which has >= 1 shard); an empty
-  /// ring routes everything to shard 0.
-  [[nodiscard]] std::size_t shard_for(std::uint64_t token) const {
-    if (points_.empty()) return 0;
-    const std::uint64_t h = mix64(token);
-    auto it = std::lower_bound(points_.begin(), points_.end(),
-                               Point{h, 0});
-    if (it == points_.end()) it = points_.begin();  // wrap around
-    return it->shard;
-  }
-
-  [[nodiscard]] std::size_t size() const { return points_.size(); }
-
- private:
-  struct Point {
-    std::uint64_t hash;
-    std::size_t shard;
-    bool operator<(const Point& o) const {
-      return hash != o.hash ? hash < o.hash : shard < o.shard;
-    }
-  };
-
-  static std::vector<std::size_t> identity(std::size_t n) {
-    std::vector<std::size_t> shards(n);
-    for (std::size_t i = 0; i < n; ++i) shards[i] = i;
-    return shards;
-  }
-
-  std::vector<Point> points_;
-};
 
 }  // namespace lumichat::wire

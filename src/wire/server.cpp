@@ -28,7 +28,6 @@ WireServer::WireServer(service::SessionManager& manager,
     : manager_(manager),
       scheduler_(scheduler),
       config_(config),
-      ring_(manager.config().n_shards),
       arena_(config.frame_width, config.frame_height, config.arena_initial) {
   if (config_.verdict_flush_max == 0) config_.verdict_flush_max = 1;
   verdict_buf_.resize(config_.verdict_flush_max);
@@ -281,18 +280,17 @@ void WireServer::on_hello(Connection& conn, const MessageView& msg) {
   }
   if (hellos_ != nullptr) hellos_->add();
 
-  HelloAckMsg ack;
-  const std::size_t shard = ring_.shard_for(msg.header.session_token);
-  ack.shard = static_cast<std::uint32_t>(shard);
+  HelloAckMsg ack;  // a refused Hello reports shard 0
   if (conn.streams.count(msg.header.stream_id) != 0) {
     ack.status = static_cast<std::uint32_t>(HelloStatus::kDuplicateStream);
   } else if (hello.frame_width == 0 || hello.frame_height == 0 ||
              hello.frame_width > kMaxFrameEdge ||
              hello.frame_height > kMaxFrameEdge) {
     ack.status = static_cast<std::uint32_t>(HelloStatus::kBadDimensions);
-  } else if (const auto id = manager_.create_on_shard(shard)) {
+  } else if (const auto id = manager_.create()) {
     ack.status = static_cast<std::uint32_t>(HelloStatus::kAccepted);
     ack.assigned_session = *id;
+    ack.shard = static_cast<std::uint32_t>(manager_.shard_index(*id));
     StreamState stream;
     stream.session = *id;
     stream.token = msg.header.session_token;

@@ -20,10 +20,9 @@
 // the ingest path performs no heap allocation per frame (see arena.hpp and
 // the alloc-gate test).
 //
-// Session routing: a client's session token is consistent-hashed onto a
-// shard (ShardRing) and the session is created with create_on_shard(), so
-// a token always lands on the same shard regardless of which connection —
-// or which server instance in a fleet — carries it.
+// Session admission: every accepted Hello creates its session through
+// SessionManager::create(), like an in-process caller, and the HelloAck
+// reports the shard whose table holds it.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +40,6 @@
 #include "wire/buffer.hpp"
 #include "wire/event_loop.hpp"
 #include "wire/protocol.hpp"
-#include "wire/routing.hpp"
 
 namespace lumichat::wire {
 
@@ -153,7 +151,6 @@ class WireServer {
   service::FrameScheduler* scheduler_;  ///< borrowed; may be null
   WireServerConfig config_;
   EventLoop loop_;
-  ShardRing ring_;
   FrameArena arena_;
   int listen_fd_ = -1;
   std::string listen_path_;

@@ -27,7 +27,7 @@ struct Chat {
   std::size_t ordinal = 0;
   std::size_t conn = 0;           ///< owning connection index
   std::uint32_t stream_id = 0;    ///< ordinal + 1
-  std::uint64_t token = 0;        ///< shard-routing key
+  std::uint64_t token = 0;        ///< session token
   bool attacker = false;
   bool admitted = false;
   service::SessionId session = 0;

@@ -49,7 +49,7 @@ struct SocketLoadOptions {
 };
 
 /// Runs `spec` through a WireServer over socketpairs. Sessions appear in
-/// ordinal order; ids are the server-assigned (shard-pinned) session ids.
+/// ordinal order; ids are the server-assigned session ids.
 /// `pool` feeds the FrameScheduler (nullptr drains inline on the driving
 /// thread); `registry` additionally receives the server's wire.* counters
 /// and wire.push_to_verdict histogram. Setup failures throw rather than

@@ -1,14 +1,10 @@
-// ByteBuffer steady-state behaviour, FrameArena pooling, and ShardRing
-// consistent-hash properties (balance, stability, determinism).
+// ByteBuffer steady-state behaviour and FrameArena pooling.
 #include <cstdint>
-#include <set>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "wire/arena.hpp"
 #include "wire/buffer.hpp"
-#include "wire/routing.hpp"
 
 namespace lumichat::wire {
 namespace {
@@ -115,68 +111,6 @@ TEST(FrameArena, ReleaseFrameJobIsIdempotent) {
   // The moved-from shell has a cleared recycler; releasing it is a no-op.
   service::release_frame_job(std::move(job));
   EXPECT_EQ(arena.stats().free_frames, 1u);
-}
-
-TEST(ShardRing, LookupsAreDeterministic) {
-  const ShardRing a(16);
-  const ShardRing b(16);
-  for (std::uint64_t token = 0; token < 1000; ++token) {
-    EXPECT_EQ(a.shard_for(token), b.shard_for(token));
-  }
-}
-
-TEST(ShardRing, BalancesTokensAcrossShards) {
-  const std::size_t n_shards = 16;
-  const ShardRing ring(n_shards);
-  std::vector<std::size_t> counts(n_shards, 0);
-  const std::size_t n_tokens = 20000;
-  for (std::uint64_t token = 0; token < n_tokens; ++token) {
-    const std::size_t shard = ring.shard_for(mix64(token));
-    ASSERT_LT(shard, n_shards);
-    ++counts[shard];
-  }
-  const double mean = static_cast<double>(n_tokens) / n_shards;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    // 64 vnodes/shard keeps loads within a factor ~2 of the mean; the gate
-    // guards against gross imbalance (e.g. all tokens on one shard).
-    EXPECT_GT(static_cast<double>(counts[s]), 0.4 * mean) << "shard " << s;
-    EXPECT_LT(static_cast<double>(counts[s]), 2.5 * mean) << "shard " << s;
-  }
-}
-
-TEST(ShardRing, RemovingOneShardRemapsOnlyItsTokens) {
-  const std::size_t n_shards = 8;
-  const std::size_t removed = 3;
-  const ShardRing full(n_shards);
-  std::vector<std::size_t> survivors;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    if (s != removed) survivors.push_back(s);
-  }
-  const ShardRing reduced(survivors);
-
-  const std::size_t n_tokens = 10000;
-  std::size_t moved = 0;
-  for (std::uint64_t token = 0; token < n_tokens; ++token) {
-    const std::size_t before = full.shard_for(token);
-    const std::size_t after = reduced.shard_for(token);
-    if (before != removed) {
-      // The consistency property: tokens the removed shard never owned
-      // must keep their assignment exactly.
-      EXPECT_EQ(after, before) << "token " << token;
-    } else {
-      EXPECT_NE(after, removed);
-      ++moved;
-    }
-  }
-  // ~1/n of tokens lived on the removed shard; all of them (and only they)
-  // remapped.
-  EXPECT_GT(moved, n_tokens / (n_shards * 3));
-  EXPECT_LT(moved, n_tokens / 2);
-}
-
-TEST(ShardRing, EmptyRingRoutesToShardZero) {
-  const ShardRing ring(std::vector<std::size_t>{});
-  EXPECT_EQ(ring.shard_for(12345), 0u);
 }
 
 }  // namespace

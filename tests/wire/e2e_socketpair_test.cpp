@@ -41,8 +41,9 @@ service::ServiceConfig e2e_service_config() {
   return cfg;
 }
 
-/// Field-by-field equality of two reports' verdict streams; ids differ by
-/// construction (sequential vs shard-pinned), so they are not compared.
+/// Field-by-field equality of two reports' verdict streams. The server
+/// numbers sessions in the order it admits Hellos across connections,
+/// which need not be chat order, so ids are not compared.
 void expect_bit_identical(const service::LoadReport& wire,
                           const service::LoadReport& ref) {
   ASSERT_EQ(wire.sessions.size(), ref.sessions.size());

@@ -94,24 +94,13 @@ TEST(WireServerClient, HandshakeAssignsShardPinnedSession) {
   EXPECT_EQ(ack.stream_id, 1u);
   EXPECT_EQ(ack.ack.status,
             static_cast<std::uint32_t>(HelloStatus::kAccepted));
-  // The assigned id comes from the routed range and lands on the shard the
-  // token consistent-hashed onto.
-  EXPECT_GE(ack.ack.assigned_session,
-            service::SessionManager::kRoutedIdBase);
+  // The ack reports the shard whose table holds the assigned session.
   EXPECT_EQ(ack.ack.assigned_session % rig.manager.config().n_shards,
+            ack.ack.shard);
+  EXPECT_EQ(rig.manager.shard_index(ack.ack.assigned_session),
             ack.ack.shard);
   EXPECT_EQ(rig.server.stream_count(), 1u);
   EXPECT_EQ(rig.manager.active_sessions(), 1u);
-}
-
-TEST(WireServerClient, SameTokenAlwaysRoutesToSameShard) {
-  Rig rig;
-  rig.client->hello(1234567, 1, 8, 8);
-  rig.client->hello(1234567, 2, 8, 8);
-  rig.converse();
-  AckEvent acks[2];
-  ASSERT_EQ(rig.client->take_acks(acks, 2), 2u);
-  EXPECT_EQ(acks[0].ack.shard, acks[1].ack.shard);
 }
 
 TEST(WireServerClient, DuplicateStreamIdRefused) {
@@ -139,6 +128,8 @@ TEST(WireServerClient, BadDimensionsRefused) {
             static_cast<std::uint32_t>(HelloStatus::kBadDimensions));
   EXPECT_EQ(acks[1].ack.status,
             static_cast<std::uint32_t>(HelloStatus::kBadDimensions));
+  EXPECT_EQ(acks[0].ack.shard, 0u);  // refused Hellos report shard 0
+  EXPECT_EQ(acks[1].ack.shard, 0u);
   EXPECT_EQ(rig.manager.active_sessions(), 0u);
 }
 
