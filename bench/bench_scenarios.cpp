@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
     common::ThreadPool serial(1);
     const scenario::ScenarioReport report =
         scenario::run_scenario(spec, service_cfg, streaming, models, &sink,
-                               &serial, nullptr);
+                               &serial);
     check(report.error.empty(), spec.name + ": spec validates");
     if (!report.error.empty()) {
       std::fprintf(stderr, "  %s\n", report.error.c_str());
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
     obs::CollectingExplanationSink sink4;
     common::ThreadPool wide(4);
     const scenario::ScenarioReport report4 = scenario::run_scenario(
-        spec, service_cfg, streaming, models, &sink4, &wide, nullptr);
+        spec, service_cfg, streaming, models, &sink4, &wide);
     bool lof_identical = report.callers.size() == report4.callers.size();
     for (std::size_t c = 0; lof_identical && c < report.callers.size();
          ++c) {

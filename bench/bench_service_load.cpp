@@ -10,15 +10,11 @@
 //   ./bench_service_load                       # 500 sessions, 6 s chats
 //   ./bench_service_load 500 3 3 50            # sessions, duration_s,
 //                                              # window_s, attacker %
-//   ./bench_service_load --observe-selftest    # observability gate: 50-
-//                                              # session runs with and
-//                                              # without a metrics registry
-//                                              # must agree bit-for-bit
 //   ./bench_service_load --telemetry-selftest  # telemetry gate: a wire-fed
 //                                              # run with stats polling +
 //                                              # flight recorder + heartbeats
-//                                              # must match a telemetry-dark
-//                                              # run verdict for verdict and
+//                                              # must match a run without
+//                                              # them verdict for verdict and
 //                                              # cost < 50% more thread CPU
 //   ./bench_service_load --socket=8 10000 2 2 50   # wire-fed mode: drive the
 //                                              # sessions as protocol bytes
@@ -93,96 +89,6 @@ std::shared_ptr<lumichat::model::ModelRegistry> train_models(
   models->publish(train_features[0], detector.lof_neighbors,
                   detector.lof_threshold);
   return models;
-}
-
-std::vector<std::string> sorted_lines(
-    const std::vector<lumichat::obs::RoundExplanation>& records) {
-  std::vector<std::string> lines;
-  lines.reserve(records.size());
-  for (const auto& r : records) lines.push_back(r.to_json());
-  std::sort(lines.begin(), lines.end());
-  return lines;
-}
-
-/// The bench-smoke observability gate: one 50-session load run without and
-/// one with a metrics registry attached (both with an explanation sink).
-/// Verdicts and explanation records must match bit-for-bit, and the
-/// registry must have counted the run.
-int run_observe_selftest() {
-  using namespace lumichat;
-  bench::header("Service load: registry-on vs registry-off selftest");
-
-  const double window_s = 2.0;
-  eval::SimulationProfile profile;
-  profile.clip_duration_s = window_s;
-  core::StreamingConfig streaming;
-  streaming.detector = profile.detector_config();
-  streaming.window_s = window_s;
-  const auto models = train_models(profile, window_s);
-
-  service::LoadSpec load;
-  load.n_sessions = 50;
-  load.duration_s = 2.0;
-  load.sample_rate_hz = profile.sample_rate_hz;
-  load.warmup_s = 1.0;
-  load.attacker_fraction = 0.5;
-  load.ticks_per_pump = 2;
-  load.full_chat = true;
-
-  service::ServiceConfig service_cfg;
-  service_cfg.n_shards = 8;
-  if (service_cfg.max_sessions == 0) {
-    service_cfg.max_sessions = service::default_service_capacity();
-  }
-
-  common::ThreadPool pool;
-  int failures = 0;
-  const auto check = [&failures](bool ok, const char* what) {
-    std::printf("[%s] %s\n", ok ? "ok" : "FAIL", what);
-    if (!ok) ++failures;
-  };
-
-  // Reference run: no registry.
-  obs::CollectingExplanationSink plain_sink;
-  const service::LoadReport plain = service::run_load(
-      load, service_cfg, streaming, models, &plain_sink, &pool);
-
-  // Observed run: fresh sink, registry attached.
-  obs::CollectingExplanationSink observed_sink;
-  obs::MetricsRegistry registry;
-  const service::LoadReport observed = service::run_load(
-      load, service_cfg, streaming, models, &observed_sink, &pool, &registry);
-
-  check(same_verdicts(plain.sessions, observed.sessions),
-        "verdict sequences bit-identical with the registry on vs off");
-
-  const std::vector<std::string> plain_lines =
-      sorted_lines(plain_sink.records());
-  const std::vector<std::string> observed_lines =
-      sorted_lines(observed_sink.records());
-  check(!plain_lines.empty(), "explanation records were emitted");
-  check(plain_lines == observed_lines,
-        "RoundExplanation streams (z1..z4, LOF, votes) bit-identical");
-
-  std::size_t windows = 0;
-  for (const auto& s : observed.sessions) windows += s.verdicts.size();
-  check(observed_sink.size() == windows,
-        "one explanation per completed window");
-
-  check(obs::json_well_formed(registry.to_json()),
-        "metrics-registry JSON parses");
-  check(registry.counter("scheduler.pumps").value() > 0,
-        "registry counted scheduler pumps");
-  check(registry.counter("load.frames_fed").value() > 0,
-        "registry counted frames fed");
-
-  std::printf("\n[registry] %s\n", registry.to_json().c_str());
-  if (failures > 0) {
-    std::fprintf(stderr, "\n%d observability check(s) FAILED\n", failures);
-    return 1;
-  }
-  std::printf("\nall observability checks passed\n");
-  return 0;
 }
 
 /// Like same_verdicts but id-blind: the server numbers socket sessions in
@@ -328,7 +234,6 @@ int run_socket_bench(std::size_t n_sessions, double duration_s,
   }
 
   // --- Measured run ------------------------------------------------------
-  obs::MetricsRegistry registry;
   common::ThreadPool pool;  // LUMICHAT_THREADS or hardware width
   wire::SocketLoadOptions options;
   options.n_connections = n_connections;
@@ -338,7 +243,7 @@ int run_socket_bench(std::size_t n_sessions, double duration_s,
                 listen_path.c_str());
   }
   const service::LoadReport report = wire::run_socket_load(
-      load, service_cfg, streaming, models, options, &pool, &registry);
+      load, service_cfg, streaming, models, options, &pool);
 
   bench::row("%-10s %-10s %-11s %-11s %-9s %-9s %-9s %-9s", "conns",
              "time (s)", "frames/s", "sessions/s", "p50 (ms)", "p95 (ms)",
@@ -354,10 +259,9 @@ int run_socket_bench(std::size_t n_sessions, double duration_s,
               100.0 * report.accuracy(), report.sessions.size(),
               report.sessions_rejected,
               static_cast<unsigned long long>(report.metrics.frames_dropped));
-  std::printf("[registry] %s\n", registry.to_json().c_str());
+  std::printf("[registry] %s\n", report.stats.to_json().c_str());
 
-  const std::uint64_t wire_frames =
-      registry.counter("wire.frames_in").value();
+  const std::uint64_t wire_frames = report.stats.counter("wire.frames_in");
   check(wire_frames == report.frames_fed,
         "every fed frame entered as wire bytes");
   check(report.metrics.windows_completed > 0, "windows completed");
@@ -369,7 +273,7 @@ int run_socket_bench(std::size_t n_sessions, double duration_s,
     json += ",\"n_connections\":" + std::to_string(n_connections);
     json += ",\"wire_frames_in\":" + std::to_string(wire_frames);
     json += ",\"wire_verdicts_out\":" +
-            std::to_string(registry.counter("wire.verdicts_out").value());
+            std::to_string(report.stats.counter("wire.verdicts_out"));
     json += "}}";
     if (write_json_file(json_out, json)) {
       std::printf("[json] socket record -> %s\n", json_out.c_str());
@@ -393,15 +297,14 @@ double thread_cpu_s(Fn&& fn) {
          1e-9 * static_cast<double>(stop.tv_nsec - start.tv_nsec);
 }
 
-/// The bench-smoke telemetry gate, extending the registry-on-vs-off
-/// discipline to the telemetry surfaces: the same wire-fed spec runs
-/// alternately dark (no registry, recorder, heartbeats or stats polling) and
-/// fully lit (registry + armed flight recorder + per-block heartbeat pings +
-/// periodic in-band stats requests). On the first pair the per-session
-/// verdict sequences must be bit-identical, and the captured stats snapshot
-/// and the auto-dumped flight JSONL must both parse and carry the expected
-/// series. Over all pairs the median lit/dark ratio of thread CPU time must
-/// stay within the overhead bound.
+/// The bench-smoke telemetry gate: the same wire-fed spec runs alternately
+/// dark (no flight recorder, heartbeats or stats polling; the always-on
+/// registry counts either way) and fully lit (armed flight recorder +
+/// per-block heartbeat pings + periodic in-band stats requests). On the
+/// first pair the per-session verdict sequences must be bit-identical, and
+/// the captured stats snapshot and the auto-dumped flight JSONL must both
+/// parse and carry the expected series. Over all pairs the median lit/dark
+/// ratio of thread CPU time must stay within the overhead bound.
 int run_telemetry_selftest() {
   using namespace lumichat;
   bench::header("Wire-fed load: telemetry-on vs telemetry-off selftest");
@@ -450,9 +353,8 @@ int run_telemetry_selftest() {
                                    wire::SocketLoadOptions{});
     });
 
-    // Lit run: every telemetry surface enabled at once on the same spec,
-    // with a fresh registry, recorder and dump file.
-    obs::MetricsRegistry registry;
+    // Lit run: every optional telemetry surface enabled at once on the same
+    // spec, with a fresh recorder and dump file.
     obs::FlightRecorder recorder(service_cfg.n_shards, 256);
     std::remove(dump_path.c_str());
     recorder.arm_auto_dump(
@@ -466,8 +368,7 @@ int run_telemetry_selftest() {
     lit.last_stats_json = &stats_json;
     service::LoadReport bright;
     const double lit_cpu_s = thread_cpu_s([&] {
-      bright = wire::run_socket_load(load, service_cfg, streaming, models, lit,
-                                     nullptr, &registry);
+      bright = wire::run_socket_load(load, service_cfg, streaming, models, lit);
     });
     ratios.push_back(dark_cpu_s > 0.0 ? lit_cpu_s / dark_cpu_s : 1.0);
     std::printf("[overhead] pair %zu: dark %.3fs -> lit %.3fs thread CPU "
@@ -483,15 +384,16 @@ int run_telemetry_selftest() {
     check(obs::json_well_formed(stats_json), "stats snapshot JSON parses");
     check(stats_json.find("\"wire.frames_in\"") != std::string::npos,
           "stats snapshot carries wire.frames_in");
-    check(stats_json.find("\"wire.heartbeat_rtt\"") != std::string::npos,
-          "stats snapshot carries wire.heartbeat_rtt");
     check(stats_json.find("\"model.version\"") != std::string::npos,
           "stats snapshot carries model.version");
     check(stats_json.find("\"service.stage.queue_wait\"") !=
               std::string::npos,
           "stats snapshot carries per-stage latency histograms");
-    check(registry.histogram("wire.heartbeat_rtt").count() > 0,
-          "heartbeat pings produced RTT samples");
+    // Round trips are the client's to measure, so the report carries them.
+    const obs::HistogramSnapshot* rtt =
+        bright.stats.histogram("wire.heartbeat_rtt");
+    check(rtt != nullptr && rtt->count > 0,
+          "heartbeat pings produced client-side RTT samples");
 
     // Flight recorder: frames were recorded, session teardown tripped an
     // armed trigger, and the server's poll-cycle dump wrote parseable JSONL.
@@ -553,14 +455,18 @@ int main(int argc, char** argv) {
   std::string explain_out;
   std::string json_out;
   std::string listen_path;
-  bool selftest = false;
   bool telemetry_selftest = false;
   std::size_t socket_conns = 0;  // 0 = in-process mode
   std::vector<char*> positional;
+  const auto usage = [](const char* why) {
+    std::fprintf(stderr,
+                 "usage: bench_service_load [flags] [n_sessions] "
+                 "[duration_s] [window_s] [attacker_pct]\n  %s\n",
+                 why);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--observe-selftest") == 0) {
-      selftest = true;
-    } else if (std::strcmp(argv[i], "--telemetry-selftest") == 0) {
+    if (std::strcmp(argv[i], "--telemetry-selftest") == 0) {
       telemetry_selftest = true;
     } else if (std::strcmp(argv[i], "--explain-out") == 0 && i + 1 < argc) {
       explain_out = argv[++i];
@@ -568,17 +474,21 @@ int main(int argc, char** argv) {
       json_out = argv[++i];
     } else if (std::strcmp(argv[i], "--listen") == 0 && i + 1 < argc) {
       listen_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--socket", 8) == 0) {
+    } else if (std::strcmp(argv[i], "--socket") == 0) {
       socket_conns = 8;
-      if (argv[i][8] == '=') {
-        socket_conns = std::strtoul(argv[i] + 9, nullptr, 10);
-        if (socket_conns == 0) socket_conns = 8;
+    } else if (std::strncmp(argv[i], "--socket=", 9) == 0) {
+      const std::optional<std::size_t> n =
+          common::parse_positive_integer(argv[i] + 9);
+      if (!n.has_value()) {
+        return usage("--socket=N needs a positive integer connection count");
       }
+      socket_conns = *n;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      return usage("unknown flag, or a flag without its value");
     } else {
       positional.push_back(argv[i]);
     }
   }
-  if (selftest) return run_observe_selftest();
   if (telemetry_selftest) return run_telemetry_selftest();
 
   std::size_t n_sessions = 500;
@@ -601,13 +511,7 @@ int main(int argc, char** argv) {
   } else if (!(attacker_pct >= 0.0 && attacker_pct <= 100.0)) {
     bad_arg = "attacker_pct must be a number in [0, 100]";
   }
-  if (bad_arg != nullptr) {
-    std::fprintf(stderr,
-                 "usage: bench_service_load [flags] [n_sessions] "
-                 "[duration_s] [window_s] [attacker_pct]\n  %s\n",
-                 bad_arg);
-    return 2;
-  }
+  if (bad_arg != nullptr) return usage(bad_arg);
   n_sessions = *sessions_arg;
 
   if (socket_conns > 0) {
@@ -664,8 +568,6 @@ int main(int argc, char** argv) {
               n_sessions, duration_s, attacker_pct,
               service_cfg.max_sessions);
 
-  obs::MetricsRegistry registry;
-
   std::vector<std::size_t> thread_counts{1, 2, 4};
   const std::size_t hw = common::ThreadPool::default_thread_count();
   if (hw > 4) thread_counts.push_back(hw);
@@ -684,7 +586,7 @@ int main(int argc, char** argv) {
   for (const std::size_t nt : thread_counts) {
     common::ThreadPool pool(nt);
     const service::LoadReport report = service::run_load(
-        load, service_cfg, streaming, models, sink, &pool, &registry);
+        load, service_cfg, streaming, models, sink, &pool);
 
     if (baseline.empty()) {
       baseline = report.sessions;
@@ -718,7 +620,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("[registry] %s\n", registry.to_json().c_str());
+  std::printf("[registry] %s\n", final_report.stats.to_json().c_str());
   if (!deterministic) return 1;
   if (!json_out.empty()) {
     std::string record = "{\"in_process\":";

@@ -80,21 +80,6 @@ bool voting_trial(const std::vector<bool>& round_verdicts,
 double voting_accuracy(const std::vector<bool>& round_verdicts,
                        std::size_t attempts, std::size_t trials,
                        double vote_fraction, bool want_attacker,
-                       common::Rng& rng) {
-  if (round_verdicts.empty() || attempts == 0 || trials == 0) return 0.0;
-  std::size_t correct = 0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    if (voting_trial(round_verdicts, attempts, vote_fraction, want_attacker,
-                     rng)) {
-      ++correct;
-    }
-  }
-  return static_cast<double>(correct) / static_cast<double>(trials);
-}
-
-double voting_accuracy(const std::vector<bool>& round_verdicts,
-                       std::size_t attempts, std::size_t trials,
-                       double vote_fraction, bool want_attacker,
                        std::uint64_t master_seed) {
   if (round_verdicts.empty() || attempts == 0 || trials == 0) return 0.0;
   std::size_t correct = 0;

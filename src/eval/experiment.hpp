@@ -65,19 +65,10 @@ struct RoundResult {
 
 /// Multi-round voting accuracy (Fig. 14): draws `attempts` single-round
 /// verdicts per trial from the given verdict pool and applies the 0.7-vote
-/// rule, repeated `trials` times.
-///
-/// Shared-Rng caveat: as with random_split, all `trials` draws advance one
-/// generator, so this overload is only meaningful run serially.
-[[nodiscard]] double voting_accuracy(const std::vector<bool>& round_verdicts,
-                                     std::size_t attempts, std::size_t trials,
-                                     double vote_fraction, bool want_attacker,
-                                     common::Rng& rng);
-
-/// Deterministic variant: trial t draws from a fresh Rng seeded with
-/// `common::derive_seed(master_seed, t)`. The result is a pure function of
-/// its arguments, and eval::voting_accuracy_parallel computes exactly the
-/// same value on any thread count.
+/// rule, repeated `trials` times. Trial t draws from a fresh Rng seeded
+/// with `common::derive_seed(master_seed, t)`, so the result is a pure
+/// function of the arguments, and eval::voting_accuracy_parallel computes
+/// exactly the same value on any thread count.
 [[nodiscard]] double voting_accuracy(const std::vector<bool>& round_verdicts,
                                      std::size_t attempts, std::size_t trials,
                                      double vote_fraction, bool want_attacker,

@@ -72,8 +72,7 @@ std::string FaultSweepResult::to_json() const {
 }
 
 FaultSweepResult run_fault_sweep(const FaultSweepSpec& spec,
-                                 common::ThreadPool* pool,
-                                 obs::MetricsRegistry* registry) {
+                                 common::ThreadPool* pool) {
   SimulationProfile clean = spec.base_profile;
   clean.clip_duration_s = spec.clip_duration_s;
   clean.faults = faults::FaultConfig{};
@@ -140,25 +139,6 @@ FaultSweepResult run_fault_sweep(const FaultSweepSpec& spec,
     result.curves.push_back(std::move(curve));
   }
 
-  if (registry != nullptr) {
-    std::uint64_t clips = 0;
-    std::uint64_t abstains = 0;
-    std::uint64_t detected = 0;
-    for (const FaultFamilyCurve& curve : result.curves) {
-      for (const FaultSweepPoint& p : curve.points) {
-        clips += static_cast<std::uint64_t>(p.legit_total + p.attack_total);
-        abstains +=
-            static_cast<std::uint64_t>(p.legit_abstained + p.attack_abstained);
-        detected += static_cast<std::uint64_t>(p.attack_detected);
-      }
-    }
-    registry->counter("fault_sweep.clips").add(clips);
-    registry->counter("fault_sweep.abstains").add(abstains);
-    registry->counter("fault_sweep.attacks_detected").add(detected);
-    registry->counter("fault_sweep.grid_points")
-        .add(static_cast<std::uint64_t>(fault_families().size() *
-                                        spec.severities.size()));
-  }
   return result;
 }
 

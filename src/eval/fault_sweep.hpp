@@ -20,7 +20,6 @@
 #include "core/voting.hpp"
 #include "eval/dataset.hpp"
 #include "faults/fault_config.hpp"
-#include "obs/metrics.hpp"
 
 namespace lumichat::eval {
 
@@ -91,11 +90,8 @@ struct FaultSweepResult {
 
 /// Runs the sweep. The detector is trained once on clean clips; every grid
 /// point is a pure function of (spec), so repeated runs are bit-identical.
-/// `pool` parallelises clip generation (nullptr = serial). An optional
-/// registry (borrowed) receives fault_sweep.* counters — tallied serially
-/// from the finished grid, so it never influences the results.
+/// `pool` parallelises clip generation (nullptr = serial).
 [[nodiscard]] FaultSweepResult run_fault_sweep(
-    const FaultSweepSpec& spec, common::ThreadPool* pool = nullptr,
-    obs::MetricsRegistry* registry = nullptr);
+    const FaultSweepSpec& spec, common::ThreadPool* pool = nullptr);
 
 }  // namespace lumichat::eval

@@ -73,9 +73,9 @@ population_features(const DatasetBuilder& data,
                     std::size_t n_clips, double adaptive_delay_s = 0.0,
                     common::ThreadPool* pool = nullptr);
 
-/// Parallel counterpart of the seeded voting_accuracy overload: computes the
-/// identical value (trial t always draws from Rng(derive_seed(master, t)))
-/// with trials chunked across the pool.
+/// Parallel counterpart of voting_accuracy: computes the identical value
+/// (trial t always draws from Rng(derive_seed(master, t))) with trials
+/// chunked across the pool.
 [[nodiscard]] double voting_accuracy_parallel(
     const std::vector<bool>& round_verdicts, std::size_t attempts,
     std::size_t trials, double vote_fraction, bool want_attacker,

@@ -91,15 +91,6 @@ void LogHistogram::reset() {
   max_.store(0.0, std::memory_order_relaxed);
 }
 
-void LogHistogram::merge(const LogHistogram& other) {
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t n = other.counts_[i].load(std::memory_order_relaxed);
-    if (n != 0) counts_[i].fetch_add(n, std::memory_order_relaxed);
-  }
-  atomic_add_double(sum_, other.sum());
-  atomic_max_double(max_, other.max());
-}
-
 double HistogramSnapshot::quantile(double q) const {
   return quantile_from_buckets(buckets, count, q);
 }
@@ -161,40 +152,6 @@ void MetricsRegistry::reset() {
   for (auto& kv : histograms_) kv.second->reset();
 }
 
-void RegistrySnapshot::merge(const RegistrySnapshot& other) {
-  auto merge_sorted = [](auto& mine, const auto& theirs, auto fold) {
-    for (const auto& item : theirs) {
-      auto it = std::lower_bound(
-          mine.begin(), mine.end(), item.first,
-          [](const auto& a, const std::string& key) { return a.first < key; });
-      if (it != mine.end() && it->first == item.first) {
-        fold(*it, item);
-      } else {
-        mine.insert(it, item);
-      }
-    }
-  };
-  merge_sorted(counters, other.counters,
-               [](auto& a, const auto& b) { a.second += b.second; });
-  merge_sorted(gauges, other.gauges,
-               [](auto& a, const auto& b) { a.second += b.second; });
-  for (const HistogramSnapshot& h : other.histograms) {
-    auto it = std::lower_bound(histograms.begin(), histograms.end(), h.name,
-                               [](const HistogramSnapshot& a,
-                                  const std::string& key) { return a.name < key; });
-    if (it != histograms.end() && it->name == h.name) {
-      it->count += h.count;
-      it->sum += h.sum;
-      it->max = std::max(it->max, h.max);
-      for (std::size_t i = 0; i < LogHistogram::kBuckets; ++i) {
-        it->buckets[i] += h.buckets[i];
-      }
-    } else {
-      histograms.insert(it, h);
-    }
-  }
-}
-
 void RegistrySnapshot::set_gauge(const std::string& name, double value) {
   auto it = std::lower_bound(
       gauges.begin(), gauges.end(), name,
@@ -236,6 +193,23 @@ void RegistrySnapshot::add_histogram(const std::string& name,
   } else {
     histograms.insert(it, std::move(hs));
   }
+}
+
+std::uint64_t RegistrySnapshot::counter(const std::string& name) const {
+  const auto it = std::lower_bound(
+      counters.begin(), counters.end(), name,
+      [](const auto& a, const std::string& key) { return a.first < key; });
+  return it != counters.end() && it->first == name ? it->second : 0;
+}
+
+const HistogramSnapshot* RegistrySnapshot::histogram(
+    const std::string& name) const {
+  const auto it = std::lower_bound(
+      histograms.begin(), histograms.end(), name,
+      [](const HistogramSnapshot& a, const std::string& key) {
+        return a.name < key;
+      });
+  return it != histograms.end() && it->name == name ? &*it : nullptr;
 }
 
 namespace {

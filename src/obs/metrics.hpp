@@ -1,5 +1,8 @@
 // General-purpose metrics: named counters, gauges, and log-bucketed
-// histograms behind one registry with a single snapshot/merge/JSON path.
+// histograms behind one registry with a single snapshot/JSON path. A
+// service has one registry, owned by its SessionManager and always on: the
+// manager, its sessions and the WireServer in front of it resolve their
+// instruments from it at construction.
 //
 // `LogHistogram` has 132 quarter-octave buckets covering 1 us .. ~2.4 h,
 // plus exact running sum and max so snapshots report mean and worst-case,
@@ -8,12 +11,12 @@
 // Writers never take a lock — counters and histogram buckets are relaxed
 // atomics — so instruments can be bumped from pool workers at frame rate.
 // `MetricsRegistry` name lookup does take a mutex; callers on hot paths
-// resolve the instrument pointer once (instrument addresses are stable for
-// the registry's lifetime) and bump through the pointer.
+// resolve the instrument once (instrument addresses are stable for the
+// registry's lifetime) and bump through the reference.
 //
-// Snapshots carry raw bucket arrays, not derived quantiles, so merging
-// snapshots from sharded registries is exact — the merged quantile equals
-// the quantile of the merged data.
+// Snapshots carry raw bucket arrays, not derived quantiles, so a histogram
+// folded into a snapshot under an existing name (add_histogram) keeps exact
+// quantiles.
 #pragma once
 
 #include <array>
@@ -66,10 +69,6 @@ class LogHistogram {
 
   void reset();
 
-  /// Adds `other`'s samples into this histogram (bucket-wise counts, sum,
-  /// and max), so sharded recorders can aggregate into one export.
-  void merge(const LogHistogram& other);
-
  private:
   friend class MetricsRegistry;
   friend HistogramSnapshot snapshot_of(const std::string& name,
@@ -109,8 +108,8 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Point-in-time copy of one histogram, carrying raw buckets so merges and
-/// quantiles stay exact after aggregation.
+/// Point-in-time copy of one histogram, carrying raw buckets so quantiles
+/// stay exact after aggregation.
 struct HistogramSnapshot {
   std::string name;
   std::uint64_t count = 0;
@@ -124,14 +123,12 @@ struct HistogramSnapshot {
   }
 };
 
-/// Point-in-time copy of a whole registry (or a merge of several).
+/// Point-in-time copy of a whole registry, plus whatever values an
+/// exporter attaches from outside it.
 struct RegistrySnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;  // name-sorted
   std::vector<std::pair<std::string, double>> gauges;           // name-sorted
   std::vector<HistogramSnapshot> histograms;                    // name-sorted
-
-  /// Folds `other` in: counters add, gauges add, histograms merge.
-  void merge(const RegistrySnapshot& other);
 
   /// Inserts or overwrites a gauge, preserving name order. Lets exporters
   /// attach derived values (model version, per-shard session counts) that
@@ -144,6 +141,13 @@ struct RegistrySnapshot {
   /// Appends `h` as a histogram snapshot under `name` (merging if present).
   void add_histogram(const std::string& name, const LogHistogram& h);
 
+  /// The named counter's value, or 0 when the snapshot has none.
+  [[nodiscard]] std::uint64_t counter(const std::string& name) const;
+
+  /// The named histogram, or null when the snapshot has none.
+  [[nodiscard]] const HistogramSnapshot* histogram(
+      const std::string& name) const;
+
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,mean,max,
   /// p50,p95,p99,p999},...}} with name-sorted keys.
   [[nodiscard]] std::string to_json() const;
@@ -155,30 +159,24 @@ struct RegistrySnapshot {
 };
 
 /// RAII wall-clock timer: records the seconds between construction and
-/// destruction into a histogram. A null histogram disables the timer
-/// entirely — not even the clock is read — so instrumented code pays
-/// nothing when metrics are off. Resolve the histogram pointer once (see
-/// the registry-lookup note above), not per scope.
+/// destruction into a histogram. Resolve the histogram once (see the
+/// registry-lookup note above), not per scope.
 class ScopedMetricsTimer {
  public:
-  explicit ScopedMetricsTimer(LogHistogram* histogram)
-      : histogram_(histogram) {
-    if (histogram_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
+  explicit ScopedMetricsTimer(LogHistogram& histogram)
+      : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
   ~ScopedMetricsTimer() {
-    if (histogram_ != nullptr) {
-      histogram_->record(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start_)
-                             .count());
-    }
+    histogram_.record(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start_)
+                          .count());
   }
 
   ScopedMetricsTimer(const ScopedMetricsTimer&) = delete;
   ScopedMetricsTimer& operator=(const ScopedMetricsTimer&) = delete;
 
  private:
-  LogHistogram* histogram_;
-  std::chrono::steady_clock::time_point start_{};
+  LogHistogram& histogram_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Named-instrument registry. Lookup is mutexed; instruments themselves are

@@ -160,8 +160,7 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
                             const core::StreamingConfig& streaming,
                             std::shared_ptr<model::ModelRegistry> models,
                             obs::ExplanationSink* sink,
-                            common::ThreadPool* pool,
-                            obs::MetricsRegistry* registry) {
+                            common::ThreadPool* pool) {
   ScenarioReport report;
   report.name = spec.name;
   report.error = validate(spec);
@@ -171,7 +170,7 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
       chat::tick_count(spec.duration_s, spec.sample_rate_hz);
   service::SessionManager manager(service_config, streaming,
                                   std::move(models), sink);
-  service::FrameScheduler scheduler(pool, registry);
+  service::FrameScheduler scheduler(pool);
   manager.attach_scheduler(&scheduler);
 
   // Flatten scripts into callers; admit serially in ordinal order so every

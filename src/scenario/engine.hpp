@@ -26,7 +26,6 @@
 #include "common/thread_pool.hpp"
 #include "core/streaming.hpp"
 #include "core/voting.hpp"
-#include "obs/metrics.hpp"
 #include "scenario/timeline.hpp"
 #include "service/session_manager.hpp"
 
@@ -96,12 +95,11 @@ struct ScenarioReport {
 /// while the campaign runs hot-swaps the model for sessions created
 /// afterwards — e.g. reconnects — with zero stall of running sessions).
 /// `sink` receives every session's RoundExplanations keyed by service
-/// session id (nullptr = silent). `pool` may be null (serial execution);
-/// `registry` may be null.
+/// session id (nullptr = silent). `pool` may be null (serial execution).
 [[nodiscard]] ScenarioReport run_scenario(
     const ScenarioSpec& spec, const service::ServiceConfig& service_config,
     const core::StreamingConfig& streaming,
     std::shared_ptr<model::ModelRegistry> models, obs::ExplanationSink* sink,
-    common::ThreadPool* pool, obs::MetricsRegistry* registry);
+    common::ThreadPool* pool);
 
 }  // namespace lumichat::scenario

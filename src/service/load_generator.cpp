@@ -59,16 +59,12 @@ double LoadReport::accuracy() const {
 LoadReport run_load(const LoadSpec& spec, const ServiceConfig& service_config,
                     const core::StreamingConfig& streaming,
                     std::shared_ptr<model::ModelRegistry> models,
-                    obs::ExplanationSink* sink, common::ThreadPool* pool,
-                    obs::MetricsRegistry* registry) {
+                    obs::ExplanationSink* sink, common::ThreadPool* pool) {
   const std::size_t total_ticks =
       chat::tick_count(spec.duration_s, spec.sample_rate_hz);
   SessionManager manager(service_config, streaming, std::move(models), sink);
-  FrameScheduler scheduler(pool, registry);
+  FrameScheduler scheduler(pool);
   manager.attach_scheduler(&scheduler);
-
-  obs::Counter* fed_ctr =
-      registry != nullptr ? &registry->counter("load.frames_fed") : nullptr;
 
   struct Chat {
     SessionId id = 0;
@@ -121,7 +117,6 @@ LoadReport run_load(const LoadSpec& spec, const ServiceConfig& service_config,
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (fed_ctr != nullptr) fed_ctr->add(fed.load(std::memory_order_relaxed));
 
   LoadReport report;
   report.sessions.reserve(chats.size());
@@ -145,6 +140,8 @@ LoadReport run_load(const LoadSpec& spec, const ServiceConfig& service_config,
   report.frames_fed = fed.load(std::memory_order_relaxed);
   report.elapsed_s = elapsed;
   report.metrics = manager.metrics_snapshot();
+  report.stats = manager.metrics().snapshot();
+  scheduler.append_counters(report.stats);
   return report;
 }
 

@@ -20,6 +20,7 @@
 #include "core/streaming.hpp"
 #include "core/voting.hpp"
 #include "faults/fault_config.hpp"
+#include "obs/metrics.hpp"
 #include "reenact/call.hpp"
 #include "service/scheduler.hpp"
 #include "service/session_manager.hpp"
@@ -72,6 +73,11 @@ struct LoadReport {
   std::size_t frames_fed = 0;
   double elapsed_s = 0.0;  ///< drive loop only (setup excluded)
   MetricsSnapshot metrics{};
+  /// The run's registry snapshot, taken after the last session was evicted:
+  /// the manager's registry plus the scheduler's counters (and, for a
+  /// socket run, everything WireServer::stats_snapshot() serves plus the
+  /// client's wire.heartbeat_rtt).
+  obs::RegistrySnapshot stats;
 
   [[nodiscard]] double frames_per_sec() const;
   [[nodiscard]] double sessions_per_sec() const;
@@ -97,16 +103,13 @@ struct LoadReport {
 /// a concurrent publish to `models` hot-swaps the model for sessions
 /// created after it). `pool` is used both for frame generation (chats are
 /// independent) and for the scheduler's drains; nullptr runs everything
-/// serially. An optional metrics registry (borrowed) receives the
-/// load.frames_fed counter and is handed to the FrameScheduler for its
-/// scheduler.* counters; it never influences the run's results. `sink`
-/// receives every session's RoundExplanations (nullptr = silent).
+/// serially. `sink` receives every session's RoundExplanations (nullptr =
+/// silent).
 [[nodiscard]] LoadReport run_load(const LoadSpec& spec,
                                   const ServiceConfig& service_config,
                                   const core::StreamingConfig& streaming,
                                   std::shared_ptr<model::ModelRegistry> models,
                                   obs::ExplanationSink* sink = nullptr,
-                                  common::ThreadPool* pool = nullptr,
-                                  obs::MetricsRegistry* registry = nullptr);
+                                  common::ThreadPool* pool = nullptr);
 
 }  // namespace lumichat::service

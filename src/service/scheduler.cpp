@@ -5,16 +5,6 @@
 
 namespace lumichat::service {
 
-FrameScheduler::FrameScheduler(common::ThreadPool* pool,
-                               obs::MetricsRegistry* registry)
-    : pool_(pool) {
-  if (registry != nullptr) {
-    pumps_ = &registry->counter("scheduler.pumps");
-    drain_tasks_ = &registry->counter("scheduler.drain_tasks");
-    frames_drained_ = &registry->counter("scheduler.frames_drained");
-  }
-}
-
 void FrameScheduler::notify(const std::shared_ptr<ServiceSession>& session) {
   if (session == nullptr || !session->try_mark_ready()) return;
   const std::lock_guard<std::mutex> lock(mu_);
@@ -27,10 +17,7 @@ void FrameScheduler::drain_task(
   const std::size_t n = session->drain();
   const bool again = session->finish_drain();
   processed.fetch_add(n, std::memory_order_relaxed);
-  if (drain_tasks_ != nullptr) drain_tasks_->add();
-  if (frames_drained_ != nullptr) {
-    frames_drained_->add(static_cast<std::uint64_t>(n));
-  }
+  drain_tasks_.add();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (again) ready_.push_back(session);  // still owns the ready flag
@@ -44,7 +31,7 @@ void FrameScheduler::drain_task(
 }
 
 std::size_t FrameScheduler::pump() {
-  if (pumps_ != nullptr) pumps_->add();
+  pumps_.add();
   std::atomic<std::size_t> processed{0};
   for (;;) {
     batch_.clear();
@@ -75,6 +62,11 @@ std::size_t FrameScheduler::pump() {
   // The loop only exits once in_flight_ hit 0 under mu_, which every
   // drain_task reaches *after* its fetch_add — the count is complete.
   return processed.load(std::memory_order_relaxed);
+}
+
+void FrameScheduler::append_counters(obs::RegistrySnapshot& s) const {
+  s.add_counter("scheduler.pumps", pumps_.value());
+  s.add_counter("scheduler.drain_tasks", drain_tasks_.value());
 }
 
 std::size_t FrameScheduler::ready_count() const {

@@ -30,11 +30,8 @@ namespace lumichat::service {
 class FrameScheduler {
  public:
   /// With a null pool the scheduler drains inline on the pumping thread —
-  /// the serial reference the determinism checks compare against. An
-  /// optional registry (borrowed) receives scheduler.pumps /
-  /// scheduler.drain_tasks / scheduler.frames_drained counters.
-  explicit FrameScheduler(common::ThreadPool* pool = nullptr,
-                          obs::MetricsRegistry* registry = nullptr);
+  /// the serial reference the determinism checks compare against.
+  explicit FrameScheduler(common::ThreadPool* pool = nullptr) : pool_(pool) {}
 
   FrameScheduler(const FrameScheduler&) = delete;
   FrameScheduler& operator=(const FrameScheduler&) = delete;
@@ -52,6 +49,9 @@ class FrameScheduler {
 
   [[nodiscard]] common::ThreadPool* pool() const { return pool_; }
 
+  /// Adds the scheduler.pumps and scheduler.drain_tasks counts to `s`.
+  void append_counters(obs::RegistrySnapshot& s) const;
+
  private:
   /// Runs the drain protocol for one session and returns frames processed.
   /// Decrements in_flight_ last, so pump() cannot observe idle early.
@@ -59,11 +59,8 @@ class FrameScheduler {
                   std::atomic<std::size_t>& processed);
 
   common::ThreadPool* pool_;
-  // Resolved once at construction so the hot path bumps through plain
-  // pointers (null when no registry was given).
-  obs::Counter* pumps_ = nullptr;
-  obs::Counter* drain_tasks_ = nullptr;
-  obs::Counter* frames_drained_ = nullptr;
+  obs::Counter pumps_;
+  obs::Counter drain_tasks_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<std::shared_ptr<ServiceSession>> ready_;  // guarded by mu_

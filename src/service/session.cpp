@@ -22,7 +22,7 @@ ServiceInstruments::ServiceInstruments(obs::MetricsRegistry& registry)
 
 ServiceSession::ServiceSession(SessionId id, core::StreamingDetector detector,
                                std::size_t queue_capacity,
-                               const ServiceInstruments* metrics)
+                               const ServiceInstruments& metrics)
     : id_(id),
       queue_capacity_(queue_capacity == 0 ? 1 : queue_capacity),
       metrics_(metrics),
@@ -72,54 +72,40 @@ std::size_t ServiceSession::drain() {
   if (closed_.load(std::memory_order_acquire)) {
     // Raced with close(): the session's detector is already flushed (and
     // possibly recycled), so the late batch is accounted as dropped.
-    if (metrics_ != nullptr) metrics_->frames_dropped.add(drain_batch_.size());
+    metrics_.frames_dropped.add(drain_batch_.size());
     for (FrameJob& job : drain_batch_) release_frame_job(std::move(job));
     drain_batch_.clear();
     return 0;
   }
   std::size_t processed = 0;
-  // Stage clocks are only read when someone consumes them; otherwise the
-  // drain stays at the original one-clock-read-per-verdict cost.
-  const bool timed = metrics_ != nullptr || flight_ != nullptr;
   for (FrameJob& job : drain_batch_) {
-    const ServiceClock::time_point t_pickup =
-        timed ? ServiceClock::now() : ServiceClock::time_point{};
+    const ServiceClock::time_point t_pickup = ServiceClock::now();
     const auto verdict =
         detector_.push(job.t_sec, job.transmitted, job.received);
     ++processed;
-    const ServiceClock::time_point t_done =
-        timed ? ServiceClock::now() : ServiceClock::time_point{};
+    const ServiceClock::time_point t_done = ServiceClock::now();
     const double queue_wait =
-        timed ? std::chrono::duration<double>(t_pickup - job.enqueued_at)
-                    .count()
-              : 0.0;
+        std::chrono::duration<double>(t_pickup - job.enqueued_at).count();
     const double detect =
-        timed ? std::chrono::duration<double>(t_done - t_pickup).count() : 0.0;
-    if (metrics_ != nullptr) {
-      metrics_->frames_processed.add();
-      metrics_->queue_wait.record(queue_wait);
-      metrics_->detect.record(detect);
-    }
+        std::chrono::duration<double>(t_done - t_pickup).count();
+    metrics_.frames_processed.add();
+    metrics_.queue_wait.record(queue_wait);
+    metrics_.detect.record(detect);
     if (verdict.has_value()) {
-      const ServiceClock::time_point completed =
-          timed ? t_done : ServiceClock::now();
       const double latency =
-          std::chrono::duration<double>(completed - job.enqueued_at).count();
+          std::chrono::duration<double>(t_done - job.enqueued_at).count();
       WindowVerdict w{history_.size(), verdict->is_attacker, verdict->verdict,
                       verdict->lof_score,  latency,           job.trace_id,
                       job.decode_s,        queue_wait,        detect,
-                      completed};
+                      t_done};
       history_.push_back(w);
-      if (metrics_ != nullptr) {
-        const ServiceInstruments& m = *metrics_;
-        m.windows_completed.add();
-        switch (verdict->verdict) {
-          case core::Verdict::kAttacker: m.verdicts_attacker.add(); break;
-          case core::Verdict::kLegitimate: m.verdicts_legit.add(); break;
-          case core::Verdict::kAbstain: m.verdicts_abstain.add(); break;
-        }
-        m.push_to_verdict.record(latency);
+      metrics_.windows_completed.add();
+      switch (verdict->verdict) {
+        case core::Verdict::kAttacker: metrics_.verdicts_attacker.add(); break;
+        case core::Verdict::kLegitimate: metrics_.verdicts_legit.add(); break;
+        case core::Verdict::kAbstain: metrics_.verdicts_abstain.add(); break;
       }
+      metrics_.push_to_verdict.record(latency);
       if (flight_ != nullptr) record_flight(w);
     }
     release_frame_job(std::move(job));
@@ -229,9 +215,7 @@ ServiceSession::CloseReport ServiceSession::close() {
       --ring_count_;
     }
   }
-  if (metrics_ != nullptr && discarded > 0) {
-    metrics_->frames_dropped.add(discarded);
-  }
+  metrics_.frames_dropped.add(discarded);
 
   const std::lock_guard<std::mutex> lock(state_mu_);
   CloseReport report;

@@ -117,10 +117,10 @@ struct WindowVerdict {
 
 class ServiceSession {
  public:
-  /// `metrics` is borrowed from the owning manager (may be null in tests).
+  /// `metrics` is borrowed from the owning manager.
   ServiceSession(SessionId id, core::StreamingDetector detector,
                  std::size_t queue_capacity,
-                 const ServiceInstruments* metrics);
+                 const ServiceInstruments& metrics);
 
   ServiceSession(const ServiceSession&) = delete;
   ServiceSession& operator=(const ServiceSession&) = delete;
@@ -191,7 +191,7 @@ class ServiceSession {
 
   const SessionId id_;
   const std::size_t queue_capacity_;
-  const ServiceInstruments* const metrics_;
+  const ServiceInstruments& metrics_;
 
   // The frame queue is a fixed ring over pre-constructed slots: enqueue
   // move-assigns into a slot and pop move-assigns out, so steady-state

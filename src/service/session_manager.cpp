@@ -67,7 +67,7 @@ std::optional<SessionId> SessionManager::create() {
   core::StreamingDetector detector = checkout_detector();
   detector.set_stream_id(id);  // labels the session's RoundExplanations
   auto session = std::make_shared<ServiceSession>(
-      id, std::move(detector), config_.session_queue_capacity, &instruments_);
+      id, std::move(detector), config_.session_queue_capacity, instruments_);
   if (flight_ != nullptr) {
     session->set_flight_recorder(flight_,
                                  static_cast<std::size_t>(id % flight_->lanes()));

@@ -164,12 +164,16 @@ class SessionManager {
   [[nodiscard]] std::size_t capacity() const { return config_.max_sessions; }
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
 
-  /// The manager's registry: the service.* counters and the
+  /// The service's one registry, always on: the service.* counters and the
   /// service.push_to_verdict / service.stage.{queue_wait,detect}
-  /// histograms. sessions_active is not in it (active_sessions() is).
+  /// histograms, plus whatever a front end in front of the manager (the
+  /// WireServer's wire.* instruments) resolves from it through the
+  /// non-const overload. sessions_active is not in it (active_sessions()
+  /// is).
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
   }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
 
  private:
@@ -194,7 +198,7 @@ class SessionManager {
   FrameScheduler* scheduler_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;  ///< borrowed; may be null
   obs::MetricsRegistry metrics_;
-  /// Resolved from metrics_ once; sessions get a pointer to it.
+  /// Resolved from metrics_ once; sessions get a reference to it.
   ServiceInstruments instruments_{metrics_};
 
   std::mutex freelist_mu_;

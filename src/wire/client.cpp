@@ -10,17 +10,12 @@
 
 namespace lumichat::wire {
 
-WireClient::WireClient(int fd, std::size_t expected_events,
-                       obs::MetricsRegistry* registry)
-    : fd_(fd) {
+WireClient::WireClient(int fd, std::size_t expected_events) : fd_(fd) {
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
   acks_.reserve(expected_events);
   verdicts_.reserve(expected_events);
   byes_.reserve(expected_events);
-  if (registry != nullptr) {
-    heartbeat_rtt_ = &registry->histogram("wire.heartbeat_rtt");
-  }
 }
 
 std::uint64_t WireClient::now_us() {
@@ -166,10 +161,7 @@ std::size_t WireClient::poll() {
         if ((msg.header.flags & kFlagEcho) != 0 && parse_heartbeat(msg, &hb)) {
           const std::uint64_t now = now_us();
           if (now >= hb.t_us) {
-            const double rtt_s =
-                static_cast<double>(now - hb.t_us) * 1e-6;
-            last_rtt_s_ = rtt_s;
-            if (heartbeat_rtt_ != nullptr) heartbeat_rtt_->record(rtt_s);
+            heartbeat_rtt_.record(static_cast<double>(now - hb.t_us) * 1e-6);
           }
         }
         break;

@@ -17,7 +17,8 @@
 // Telemetry: heartbeat_ping() stamps the client's own steady clock into
 // the heartbeat payload; the server reflects it with kFlagEcho set, and
 // poll() turns the reflection into a round-trip-time sample recorded into
-// the `wire.heartbeat_rtt` histogram of the registry given at construction.
+// the client's own heartbeat_rtt() histogram (a server never sees its
+// peer's round trip, so the client keeps it).
 #pragma once
 
 #include <cstddef>
@@ -57,10 +58,8 @@ class WireClient {
  public:
   /// Takes ownership of a connected socket (switched to non-blocking).
   /// `expected_events` pre-reserves the event vectors so steady-state
-  /// polling does not grow them. `registry` (borrowed, may be null)
-  /// receives the wire.heartbeat_rtt histogram.
-  explicit WireClient(int fd, std::size_t expected_events = 64,
-                      obs::MetricsRegistry* registry = nullptr);
+  /// polling does not grow them.
+  explicit WireClient(int fd, std::size_t expected_events = 64);
   ~WireClient();
 
   WireClient(const WireClient&) = delete;
@@ -107,9 +106,11 @@ class WireClient {
   std::vector<StatsEvent> take_stats();
 
   [[nodiscard]] std::size_t heartbeats_echoed() const { return heartbeats_; }
-  /// Last observed heartbeat round-trip time in seconds (0 until a flagged
-  /// echo of a heartbeat_ping() arrives).
-  [[nodiscard]] double last_heartbeat_rtt_s() const { return last_rtt_s_; }
+  /// Every heartbeat round-trip time observed so far, in seconds (one
+  /// sample per flagged echo of a heartbeat_ping()).
+  [[nodiscard]] const obs::LogHistogram& heartbeat_rtt() const {
+    return heartbeat_rtt_;
+  }
   /// Protocol corruption, unexpected EOF, or socket error was observed.
   [[nodiscard]] bool failed() const { return failed_; }
   /// The underlying socket (still owned by the client) — test harnesses use
@@ -132,9 +133,8 @@ class WireClient {
   std::vector<ByeEvent> byes_;
   std::vector<StatsEvent> stats_;
   std::size_t heartbeats_ = 0;
-  double last_rtt_s_ = 0.0;
   bool failed_ = false;
-  obs::LogHistogram* heartbeat_rtt_ = nullptr;  ///< resolved once
+  obs::LogHistogram heartbeat_rtt_;
 };
 
 }  // namespace lumichat::wire

@@ -24,28 +24,25 @@ bool set_nonblocking(int fd) {
 
 WireServer::WireServer(service::SessionManager& manager,
                        service::FrameScheduler* scheduler,
-                       WireServerConfig config, obs::MetricsRegistry* registry)
+                       WireServerConfig config)
     : manager_(manager),
       scheduler_(scheduler),
       config_(config),
-      arena_(config.frame_width, config.frame_height, config.arena_initial) {
+      arena_(config.frame_width, config.frame_height, config.arena_initial),
+      frames_in_(manager.metrics().counter("wire.frames_in")),
+      verdicts_out_(manager.metrics().counter("wire.verdicts_out")),
+      malformed_(manager.metrics().counter("wire.malformed")),
+      hellos_(manager.metrics().counter("wire.hellos")),
+      rejects_(manager.metrics().counter("wire.hello_rejects")),
+      idle_closed_(manager.metrics().counter("wire.idle_closed")),
+      stats_served_(manager.metrics().counter("wire.stats_served")),
+      push_to_verdict_(manager.metrics().histogram("wire.push_to_verdict")),
+      poll_cycle_(manager.metrics().histogram("wire.poll_cycle")),
+      stage_decode_(manager.metrics().histogram("wire.stage.decode")),
+      stage_enqueue_(manager.metrics().histogram("wire.stage.enqueue")),
+      stage_push_(manager.metrics().histogram("wire.stage.push")) {
   if (config_.verdict_flush_max == 0) config_.verdict_flush_max = 1;
   verdict_buf_.resize(config_.verdict_flush_max);
-  registry_ = registry;
-  if (registry != nullptr) {
-    frames_in_ = &registry->counter("wire.frames_in");
-    verdicts_out_ = &registry->counter("wire.verdicts_out");
-    malformed_ = &registry->counter("wire.malformed");
-    hellos_ = &registry->counter("wire.hellos");
-    rejects_ = &registry->counter("wire.hello_rejects");
-    idle_closed_ = &registry->counter("wire.idle_closed");
-    stats_served_ = &registry->counter("wire.stats_served");
-    push_to_verdict_ = &registry->histogram("wire.push_to_verdict");
-    poll_cycle_ = &registry->histogram("wire.poll_cycle");
-    stage_decode_ = &registry->histogram("wire.stage.decode");
-    stage_enqueue_ = &registry->histogram("wire.stage.enqueue");
-    stage_push_ = &registry->histogram("wire.stage.push");
-  }
 }
 
 WireServer::~WireServer() {
@@ -146,8 +143,8 @@ std::size_t WireServer::poll(int timeout_ms) {
   // Any trigger recorded this cycle — by a session's drain on a pool
   // worker, or by protocol_error above — flushes the ring here, where a
   // file write cannot stall frame ingest mid-cycle.
-  if (config_.flight_recorder != nullptr) {
-    (void)config_.flight_recorder->maybe_auto_dump();
+  if (obs::FlightRecorder* recorder = manager_.flight_recorder()) {
+    (void)recorder->maybe_auto_dump();
   }
   return frames;
 }
@@ -241,13 +238,12 @@ void WireServer::on_stats_request(Connection& conn, const MessageView& msg) {
   conn.out.commit(encode_stats_reply(conn.out.write_ptr(), total,
                                      msg.header.session_token,
                                      msg.header.stream_id, format, text));
-  if (stats_served_ != nullptr) stats_served_->add();
+  stats_served_.add();
 }
 
 obs::RegistrySnapshot WireServer::stats_snapshot() const {
-  obs::RegistrySnapshot s;
-  if (registry_ != nullptr) s = registry_->snapshot();
-  s.merge(manager_.metrics().snapshot());
+  obs::RegistrySnapshot s = manager_.metrics().snapshot();
+  if (scheduler_ != nullptr) scheduler_->append_counters(s);
   s.set_gauge("service.sessions_active",
               static_cast<double>(manager_.active_sessions()));
   // Model plane: which snapshot version verdicts are being scored against,
@@ -278,7 +274,7 @@ void WireServer::on_hello(Connection& conn, const MessageView& msg) {
     protocol_error(conn);
     return;
   }
-  if (hellos_ != nullptr) hellos_->add();
+  hellos_.add();
 
   HelloAckMsg ack;  // a refused Hello reports shard 0
   if (conn.streams.count(msg.header.stream_id) != 0) {
@@ -300,7 +296,7 @@ void WireServer::on_hello(Connection& conn, const MessageView& msg) {
     ++n_streams_;
   } else {
     ack.status = static_cast<std::uint32_t>(HelloStatus::kRejected);
-    if (rejects_ != nullptr) rejects_->add();
+    rejects_.add();
   }
 
   const std::size_t total = kHeaderSize + kHelloAckPayloadSize;
@@ -322,12 +318,8 @@ bool WireServer::on_frame(Connection& conn, const MessageView& msg) {
     return false;
   }
 
-  // Stage clocks only when a registry is attached; the untimed path keeps
-  // its original single clock read (the enqueued_at stamp).
-  const bool timed = stage_decode_ != nullptr;
   const service::ServiceClock::time_point t_decode_start =
-      timed ? service::ServiceClock::now()
-            : service::ServiceClock::time_point{};
+      service::ServiceClock::now();
 
   // Pool hit when the frame matches the arena geometry (the steady state);
   // a renegotiated size decodes into a plainly owned job instead.
@@ -339,22 +331,16 @@ bool WireServer::on_frame(Connection& conn, const MessageView& msg) {
   job.t_sec = static_cast<double>(frame.timestamp_us) * 1e-6;
   job.trace_id = frame.trace_id;
   job.enqueued_at = service::ServiceClock::now();
-  if (timed) {
-    job.decode_s = std::chrono::duration<double>(job.enqueued_at -
-                                                 t_decode_start)
-                       .count();
-    stage_decode_->record(job.decode_s);
-  }
+  job.decode_s =
+      std::chrono::duration<double>(job.enqueued_at - t_decode_start).count();
+  stage_decode_.record(job.decode_s);
   const service::ServiceClock::time_point t_enqueue_start = job.enqueued_at;
   (void)manager_.feed(it->second.session, std::move(job));
-  if (timed) {
-    stage_enqueue_->record(std::chrono::duration<double>(
-                               service::ServiceClock::now() -
-                               t_enqueue_start)
-                               .count());
-  }
+  stage_enqueue_.record(std::chrono::duration<double>(
+                            service::ServiceClock::now() - t_enqueue_start)
+                            .count());
   ++it->second.frames;
-  if (frames_in_ != nullptr) frames_in_->add();
+  frames_in_.add();
   return true;
 }
 
@@ -392,8 +378,7 @@ void WireServer::flush_verdicts(Connection& conn) {
       // One clock read per flushed batch times the push stage (verdict
       // completed in the drain -> encoded onto the socket).
       const service::ServiceClock::time_point t_push =
-          stage_push_ != nullptr ? service::ServiceClock::now()
-                                 : service::ServiceClock::time_point{};
+          service::ServiceClock::now();
       for (std::size_t i = 0; i < copied; ++i) {
         const service::WindowVerdict& w = verdict_buf_[i];
         VerdictMsg out;
@@ -407,17 +392,12 @@ void WireServer::flush_verdicts(Connection& conn) {
         conn.out.ensure_writable(total);
         conn.out.commit(encode_verdict(conn.out.write_ptr(), total,
                                        stream.token, it->first, out));
-        if (push_to_verdict_ != nullptr) {
-          push_to_verdict_->record(w.push_to_verdict_s);
-        }
-        if (stage_push_ != nullptr &&
-            w.completed_at != service::ServiceClock::time_point{}) {
-          stage_push_->record(
-              std::chrono::duration<double>(t_push - w.completed_at).count());
-        }
+        push_to_verdict_.record(w.push_to_verdict_s);
+        stage_push_.record(
+            std::chrono::duration<double>(t_push - w.completed_at).count());
       }
       stream.verdicts_sent += copied;
-      if (verdicts_out_ != nullptr) verdicts_out_->add(copied);
+      verdicts_out_.add(copied);
     } while (stream.closing);
 
     if (stream.closing) {
@@ -465,15 +445,13 @@ void WireServer::flush_writes(Connection& conn) {
 
 void WireServer::protocol_error(Connection& conn) {
   if (conn.closing) return;
-  if (malformed_ != nullptr) malformed_->add();
-  if (config_.flight_recorder != nullptr) {
+  malformed_.add();
+  if (obs::FlightRecorder* recorder = manager_.flight_recorder()) {
     obs::FlightEntry entry;
     entry.kind = obs::FlightKind::kProtocolError;
     entry.stream_id = static_cast<std::uint32_t>(conn.fd);
-    config_.flight_recorder->record(
-        static_cast<std::size_t>(conn.fd) %
-            config_.flight_recorder->lanes(),
-        entry);
+    recorder->record(static_cast<std::size_t>(conn.fd) % recorder->lanes(),
+                     entry);
   }
   // After a framing error byte boundaries are lost: stop decoding, send a
   // best-effort Bye, flush what is queued, then drop the connection. The
@@ -508,7 +486,7 @@ void WireServer::sweep_idle() {
         std::chrono::duration<double>(now - conn->last_activity).count();
     if (idle > config_.idle_timeout_s) {
       doomed_.push_back(fd);
-      if (idle_closed_ != nullptr) idle_closed_->add();
+      idle_closed_.add();
     }
   }
 }

@@ -32,7 +32,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "service/scheduler.hpp"
 #include "service/session_manager.hpp"
@@ -60,11 +59,6 @@ struct WireServerConfig {
   std::size_t arena_initial = 256;
   /// Verdicts copied out per stream per cycle (bounds the stack buffer).
   std::size_t verdict_flush_max = 16;
-  /// Borrowed flight recorder (must outlive the server; null disables).
-  /// Protocol errors record marker entries, and poll() gives it one
-  /// maybe_auto_dump() opportunity per cycle — triggers recorded anywhere
-  /// (including by sessions) get flushed from here, off the hot path.
-  obs::FlightRecorder* flight_recorder = nullptr;
 };
 
 class WireServer {
@@ -72,11 +66,13 @@ class WireServer {
   /// `manager` and the optional `scheduler` are borrowed and must outlive
   /// the server. When a scheduler is given, poll() pumps it once per cycle
   /// (the manager should have it attached); otherwise feeds drain inline.
-  /// An optional registry (borrowed) receives wire.* counters and the
-  /// wire.push_to_verdict histogram.
+  /// The server's wire.* counters and histograms live in the manager's
+  /// registry. When the manager has a flight recorder attached, protocol
+  /// errors record marker entries into it, and poll() gives it one
+  /// maybe_auto_dump() opportunity per cycle — triggers recorded anywhere
+  /// (including by sessions) get flushed from here, off the hot path.
   WireServer(service::SessionManager& manager,
-             service::FrameScheduler* scheduler, WireServerConfig config = {},
-             obs::MetricsRegistry* registry = nullptr);
+             service::FrameScheduler* scheduler, WireServerConfig config = {});
   ~WireServer();
 
   WireServer(const WireServer&) = delete;
@@ -100,9 +96,9 @@ class WireServer {
   [[nodiscard]] std::size_t stream_count() const { return n_streams_; }
   [[nodiscard]] FrameArena& arena() { return arena_; }
 
-  /// The full telemetry plane as one consistent point-in-time snapshot:
-  /// the wire registry (when one was given), the manager's registry plus
-  /// its service.sessions_active gauge, the model-registry version/publish
+  /// The full telemetry plane as one point-in-time snapshot: the manager's
+  /// registry (service.* and wire.* instruments), the scheduler's counters,
+  /// the service.sessions_active gauge, the model-registry version/publish
   /// count, and per-shard session-count gauges. This is what the Stats wire
   /// request serves; exposed directly so embedders can export it.
   [[nodiscard]] obs::RegistrySnapshot stats_snapshot() const;
@@ -160,23 +156,21 @@ class WireServer {
   std::vector<service::WindowVerdict> verdict_buf_;
   std::vector<int> doomed_;  ///< per-cycle close list (reused)
 
-  obs::MetricsRegistry* registry_ = nullptr;  ///< borrowed; may be null
-
-  // Resolved once; null when no registry was given. Steady-state frames
-  // bump these pointers and never touch the registry mutex (the
-  // no-lookup-per-frame test pins this).
-  obs::Counter* frames_in_ = nullptr;
-  obs::Counter* verdicts_out_ = nullptr;
-  obs::Counter* malformed_ = nullptr;
-  obs::Counter* hellos_ = nullptr;
-  obs::Counter* rejects_ = nullptr;
-  obs::Counter* idle_closed_ = nullptr;
-  obs::Counter* stats_served_ = nullptr;
-  obs::LogHistogram* push_to_verdict_ = nullptr;
-  obs::LogHistogram* poll_cycle_ = nullptr;
-  obs::LogHistogram* stage_decode_ = nullptr;
-  obs::LogHistogram* stage_enqueue_ = nullptr;
-  obs::LogHistogram* stage_push_ = nullptr;
+  // Resolved once from the manager's registry. Steady-state frames bump
+  // these and never touch the registry mutex (the no-lookup-per-frame test
+  // pins this).
+  obs::Counter& frames_in_;
+  obs::Counter& verdicts_out_;
+  obs::Counter& malformed_;
+  obs::Counter& hellos_;
+  obs::Counter& rejects_;
+  obs::Counter& idle_closed_;
+  obs::Counter& stats_served_;
+  obs::LogHistogram& push_to_verdict_;
+  obs::LogHistogram& poll_cycle_;
+  obs::LogHistogram& stage_decode_;
+  obs::LogHistogram& stage_enqueue_;
+  obs::LogHistogram& stage_push_;
 };
 
 }  // namespace lumichat::wire

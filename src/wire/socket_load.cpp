@@ -86,13 +86,12 @@ service::LoadReport run_socket_load(const service::LoadSpec& spec,
                                     const core::StreamingConfig& streaming,
                                     std::shared_ptr<model::ModelRegistry> models,
                                     const SocketLoadOptions& options,
-                                    common::ThreadPool* pool,
-                                    obs::MetricsRegistry* registry) {
+                                    common::ThreadPool* pool) {
   const std::size_t total_ticks =
       chat::tick_count(spec.duration_s, spec.sample_rate_hz);
   service::LoadReport report;
   service::SessionManager manager(service_cfg, streaming, std::move(models));
-  service::FrameScheduler scheduler(pool, registry);
+  service::FrameScheduler scheduler(pool);
   manager.attach_scheduler(&scheduler);
   if (options.flight_recorder != nullptr) {
     manager.attach_flight_recorder(options.flight_recorder);
@@ -142,8 +141,7 @@ service::LoadReport run_socket_load(const service::LoadSpec& spec,
       n_conns * (server_cfg.read_chunk / frame_wire_size(frame_w, frame_h) +
                  2) +
       64;
-  server_cfg.flight_recorder = options.flight_recorder;
-  WireServer server(manager, &scheduler, server_cfg, registry);
+  WireServer server(manager, &scheduler, server_cfg);
   // Live-monitoring side door: lumichat_stat connects here and speaks
   // Stats requests while the load runs.
   if (!options.listen_path.empty() &&
@@ -165,7 +163,7 @@ service::LoadReport run_socket_load(const service::LoadSpec& spec,
       ::close(sv[1]);
       throw std::runtime_error("run_socket_load: server refused a connection");
     }
-    clients.push_back(std::make_unique<WireClient>(sv[1], 1024, registry));
+    clients.push_back(std::make_unique<WireClient>(sv[1], 1024));
   }
   for (Chat& chat : chats) chat.conn = chat.ordinal % n_conns;
 
@@ -319,6 +317,9 @@ service::LoadReport run_socket_load(const service::LoadSpec& spec,
   report.frames_fed = ingested;
   report.elapsed_s = elapsed;
   report.metrics = manager.metrics_snapshot();
+  report.stats = server.stats_snapshot();
+  // Monitoring pings ride connection 0, so its client holds every RTT.
+  report.stats.add_histogram("wire.heartbeat_rtt", clients[0]->heartbeat_rtt());
   // The evictions above fire after the server's last poll cycle, so any
   // armed trigger they tripped has had no flush pass yet — give the
   // recorder the one the server would have given it next cycle.

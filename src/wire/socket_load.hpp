@@ -26,7 +26,6 @@
 #include "common/thread_pool.hpp"
 #include "model/registry.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "service/load_generator.hpp"
 
 namespace lumichat::wire {
@@ -37,10 +36,11 @@ struct SocketLoadOptions {
   /// When non-empty, the server additionally listens on this Unix-domain
   /// socket so an external monitor (lumichat_stat) can poll a live run.
   std::string listen_path;
-  /// Borrowed flight recorder wired into the manager and server (null off).
+  /// Borrowed flight recorder attached to the manager, whose server records
+  /// protocol errors into it and flushes its dumps (null off).
   obs::FlightRecorder* flight_recorder = nullptr;
-  /// Every N drive blocks connection 0 sends a heartbeat ping (RTT sample
-  /// into wire.heartbeat_rtt) — 0 disables.
+  /// Every N drive blocks connection 0 sends a heartbeat ping (an RTT
+  /// sample for the report's wire.heartbeat_rtt) — 0 disables.
   std::size_t heartbeat_every = 0;
   /// Every N drive blocks connection 0 requests a JSON stats snapshot —
   /// 0 disables. The last reply lands in *last_stats_json when set.
@@ -51,8 +51,7 @@ struct SocketLoadOptions {
 /// Runs `spec` through a WireServer over socketpairs. Sessions appear in
 /// ordinal order; ids are the server-assigned session ids.
 /// `pool` feeds the FrameScheduler (nullptr drains inline on the driving
-/// thread); `registry` additionally receives the server's wire.* counters
-/// and wire.push_to_verdict histogram. Setup failures throw rather than
+/// thread). Setup failures throw rather than
 /// return a report: std::runtime_error when options.listen_path cannot be
 /// listened on or the server refuses a connection, std::system_error when
 /// a socketpair cannot be made, std::invalid_argument when the spec's
@@ -62,7 +61,6 @@ struct SocketLoadOptions {
     const service::ServiceConfig& service_config,
     const core::StreamingConfig& streaming,
     std::shared_ptr<model::ModelRegistry> models,
-    const SocketLoadOptions& options = {}, common::ThreadPool* pool = nullptr,
-    obs::MetricsRegistry* registry = nullptr);
+    const SocketLoadOptions& options = {}, common::ThreadPool* pool = nullptr);
 
 }  // namespace lumichat::wire

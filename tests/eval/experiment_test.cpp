@@ -70,32 +70,29 @@ TEST(EvaluateRound, SeparatesObviousClasses) {
 }
 
 TEST(VotingAccuracy, AllCorrectVerdictsGivePerfectAccuracy) {
-  common::Rng rng(4);
   const std::vector<bool> attacker_verdicts(20, true);
   EXPECT_DOUBLE_EQ(
-      voting_accuracy(attacker_verdicts, 3, 50, 0.7, true, rng), 1.0);
+      voting_accuracy(attacker_verdicts, 3, 50, 0.7, true, 4), 1.0);
   const std::vector<bool> legit_verdicts(20, false);
   EXPECT_DOUBLE_EQ(
-      voting_accuracy(legit_verdicts, 3, 50, 0.7, false, rng), 1.0);
+      voting_accuracy(legit_verdicts, 3, 50, 0.7, false, 4), 1.0);
 }
 
 TEST(VotingAccuracy, MoreAttemptsImproveNoisyAttackerDetection) {
   // 85% of single rounds say "attacker": voting over more attempts should
   // not hurt and typically helps.
-  common::Rng rng(5);
   std::vector<bool> verdicts;
   for (int i = 0; i < 100; ++i) verdicts.push_back(i < 85);
-  const double one = voting_accuracy(verdicts, 1, 4000, 0.7, true, rng);
-  const double seven = voting_accuracy(verdicts, 7, 4000, 0.7, true, rng);
+  const double one = voting_accuracy(verdicts, 1, 4000, 0.7, true, 5);
+  const double seven = voting_accuracy(verdicts, 7, 4000, 0.7, true, 5);
   EXPECT_GT(seven, one - 0.02);
   EXPECT_NEAR(one, 0.85, 0.03);
 }
 
 TEST(VotingAccuracy, DegenerateInputs) {
-  common::Rng rng(6);
-  EXPECT_DOUBLE_EQ(voting_accuracy({}, 3, 10, 0.7, true, rng), 0.0);
-  EXPECT_DOUBLE_EQ(voting_accuracy({true}, 0, 10, 0.7, true, rng), 0.0);
-  EXPECT_DOUBLE_EQ(voting_accuracy({true}, 3, 0, 0.7, true, rng), 0.0);
+  EXPECT_DOUBLE_EQ(voting_accuracy({}, 3, 10, 0.7, true, 6), 0.0);
+  EXPECT_DOUBLE_EQ(voting_accuracy({true}, 0, 10, 0.7, true, 6), 0.0);
+  EXPECT_DOUBLE_EQ(voting_accuracy({true}, 3, 0, 0.7, true, 6), 0.0);
 }
 
 }  // namespace

@@ -157,18 +157,6 @@ TEST(SeededVotingAccuracy, SerialAndParallelAgreeBitwise) {
   }
 }
 
-TEST(SeededVotingAccuracy, MatchesSharedRngStatistically) {
-  // The seeded variant is a different stream than the legacy shared-Rng
-  // one, but over many trials both must estimate the same probability.
-  std::vector<bool> verdicts;
-  for (int i = 0; i < 100; ++i) verdicts.push_back(i < 85);
-  common::Rng rng(6);
-  const double legacy = voting_accuracy(verdicts, 5, 4000, 0.7, true, rng);
-  const double seeded =
-      voting_accuracy(verdicts, 5, 4000, 0.7, true, std::uint64_t{77});
-  EXPECT_NEAR(legacy, seeded, 0.05);
-}
-
 TEST(SeededVotingAccuracy, DegenerateInputs) {
   EXPECT_EQ(voting_accuracy({}, 3, 10, 0.7, true, std::uint64_t{1}), 0.0);
   EXPECT_EQ(voting_accuracy({true}, 0, 10, 0.7, true, std::uint64_t{1}), 0.0);

@@ -44,13 +44,11 @@ CampaignRun run_campaign(const ScenarioSpec& spec) {
   common::ThreadPool serial(1);
   CampaignRun run;
   run.report =
-      run_scenario(spec, service_cfg, streaming, models, &sink, &serial,
-                   nullptr);
+      run_scenario(spec, service_cfg, streaming, models, &sink, &serial);
 
   common::ThreadPool wide(4);
   run.threaded =
-      run_scenario(spec, service_cfg, streaming, models, nullptr, &wide,
-                   nullptr);
+      run_scenario(spec, service_cfg, streaming, models, nullptr, &wide);
 
   std::string jsonl;
   for (const obs::RoundExplanation& r : sink.records()) {

@@ -36,8 +36,7 @@ ScenarioReport run(const ScenarioSpec& spec, common::ThreadPool* pool,
   cfg.n_shards = 4;
   cfg.max_sessions = max_sessions;
   return run_scenario(spec, cfg, service::testutil::test_streaming_config(),
-                      service::testutil::trained_registry(), nullptr, pool,
-                      nullptr);
+                      service::testutil::trained_registry(), nullptr, pool);
 }
 
 TEST(ScenarioEngine, InvalidSpecReportsErrorAndRunsNothing) {
@@ -178,7 +177,7 @@ TEST(ScenarioEngine, HotSwapDuringCampaignDropsNoSessions) {
 
   const auto reference_models = service::testutil::trained_registry();
   const ScenarioReport reference = run_scenario(
-      spec, cfg, streaming, reference_models, nullptr, nullptr, nullptr);
+      spec, cfg, streaming, reference_models, nullptr, nullptr);
   ASSERT_TRUE(reference.error.empty()) << reference.error;
 
   // Republishes on every completed window — guaranteed mid-campaign swaps
@@ -205,7 +204,7 @@ TEST(ScenarioEngine, HotSwapDuringCampaignDropsNoSessions) {
     }
   });
   const ScenarioReport swapped = run_scenario(
-      spec, cfg, streaming, swapped_models, &each_window, nullptr, nullptr);
+      spec, cfg, streaming, swapped_models, &each_window, nullptr);
   stop.store(true, std::memory_order_relaxed);
   publisher.join();
 

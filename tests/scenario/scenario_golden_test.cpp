@@ -77,7 +77,7 @@ TEST(ScenarioGolden, FullChatCampaignVerdictsAreFrozen) {
   streaming.detector.enable_abstain = false;
   const ScenarioReport report = run_scenario(
       golden_spec(), testutil::campaign_service_config(), streaming,
-      testutil::campaign_registry(kWindowS), nullptr, nullptr, nullptr);
+      testutil::campaign_registry(kWindowS), nullptr, nullptr);
   ASSERT_TRUE(report.error.empty()) << report.error;
   ASSERT_EQ(report.callers.size(), 2u);
   for (std::size_t c = 0; c < report.callers.size(); ++c) {

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "obs/explain.hpp"
+#include "obs/json.hpp"
 #include "service/load_generator.hpp"
 #include "service_test_util.hpp"
 
@@ -133,6 +135,33 @@ TEST(ServiceLoad, NanDurationThrowsInsteadOfDriving) {
   spec.full_chat = true;  // the full chat refuses to build at all
   spec.n_sessions = 1;
   EXPECT_THROW((void)make_chat_source(spec, 0, false), std::invalid_argument);
+}
+
+TEST(ServiceLoad, FullChatRunExplainsEveryWindowAndCountsItsPumps) {
+  // The always-on telemetry of one run on the full-chat path: one
+  // RoundExplanation per completed window, a registry snapshot that parses,
+  // counted scheduler pumps, and every fed frame processed exactly once.
+  LoadSpec spec;
+  spec.n_sessions = 4;
+  spec.duration_s = 2.0;
+  spec.warmup_s = 1.0;
+  spec.full_chat = true;
+  spec.master_seed = 99;
+  obs::CollectingExplanationSink sink;
+  common::ThreadPool pool(2);
+  const LoadReport report =
+      run_load(spec, small_service(), testutil::test_streaming_config(),
+               testutil::trained_registry(), &sink, &pool);
+
+  std::size_t windows = 0;
+  for (const SessionResult& s : report.sessions) windows += s.verdicts.size();
+  EXPECT_EQ(windows, spec.n_sessions);  // one 2 s window per 2 s chat
+  EXPECT_EQ(sink.size(), windows);
+  EXPECT_TRUE(obs::json_well_formed(report.stats.to_json()));
+  EXPECT_GT(report.stats.counter("scheduler.pumps"), 0u);
+  EXPECT_GT(report.stats.counter("scheduler.drain_tasks"), 0u);
+  EXPECT_EQ(report.stats.counter("service.frames_processed"),
+            report.frames_fed);
 }
 
 }  // namespace

@@ -18,8 +18,10 @@ using testutil::wave;
 
 std::shared_ptr<ServiceSession> make_session(SessionId id,
                                              std::size_t queue_capacity = 64) {
+  static obs::MetricsRegistry registry;
+  static const ServiceInstruments instruments(registry);
   return std::make_shared<ServiceSession>(id, trained_prototype(),
-                                          queue_capacity, nullptr);
+                                          queue_capacity, instruments);
 }
 
 void enqueue_wave(ServiceSession& s, std::size_t n,

@@ -140,8 +140,8 @@ TEST(WireAllocGate, SteadyStateFramesAllocateNothing) {
   server_cfg.frame_width = 8;
   server_cfg.frame_height = 8;
   server_cfg.arena_initial = 4;
-  obs::MetricsRegistry registry;
-  WireServer server(manager, nullptr, server_cfg, &registry);
+  WireServer server(manager, nullptr, server_cfg);
+  obs::MetricsRegistry& registry = manager.metrics();
 
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);

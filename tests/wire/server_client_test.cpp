@@ -19,6 +19,7 @@
 #include "image/image.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "service/scheduler.hpp"
 #include "service/session_manager.hpp"
 #include "wire/client.hpp"
 #include "wire/crc32.hpp"
@@ -51,9 +52,10 @@ WireServerConfig small_server_config() {
 }
 
 /// A server (no scheduler: feeds drain inline) plus one connected client.
+/// `registry` is the manager's, which the server's wire.* instruments share.
 struct Rig {
   service::SessionManager manager;
-  obs::MetricsRegistry registry;
+  obs::MetricsRegistry& registry;
   WireServer server;
   std::unique_ptr<WireClient> client;
   int server_fd = -1;
@@ -61,7 +63,8 @@ struct Rig {
   explicit Rig(service::ServiceConfig service_cfg = small_service_config(),
                WireServerConfig server_cfg = small_server_config())
       : manager(service_cfg, test_streaming_config(), trained_registry()),
-        server(manager, nullptr, server_cfg, &registry) {
+        registry(manager.metrics()),
+        server(manager, nullptr, server_cfg) {
     int sv[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     server_fd = sv[0];
@@ -340,12 +343,51 @@ TEST(WireServerClient, StatsRequestServesRegistrySnapshot) {
   EXPECT_EQ(rig.registry.counter("wire.stats_served").value(), 2u);
 }
 
+TEST(WireServerClient, StatsSnapshotCoversEveryLayerWithNoRegistryArgument) {
+  // The server takes no registry: its wire.* instruments live in the
+  // manager's, and the snapshot adds the attached scheduler's counters.
+  service::SessionManager manager(small_service_config(),
+                                  test_streaming_config(), trained_registry());
+  service::FrameScheduler scheduler;
+  manager.attach_scheduler(&scheduler);
+  WireServer server(manager, &scheduler, small_server_config());
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_TRUE(server.adopt(sv[0]));
+  WireClient client(sv[1]);
+  const auto converse = [&] {
+    for (int i = 0; i < 8; ++i) {
+      client.flush();
+      (void)server.poll(0);
+      client.poll();
+    }
+  };
+  client.hello(3, 1, 8, 8);
+  converse();
+  (void)expect_one_ack(client);
+  const image::Image tx(8, 8, image::Pixel{120.0, 120.0, 120.0});
+  const image::Image rx(8, 8, image::Pixel{90.0, 90.0, 90.0});
+  for (std::uint32_t k = 0; k < 20; ++k) {
+    client.send_frame(3, 1, k, static_cast<std::uint64_t>(k) * 100000, tx,
+                      rx);
+  }
+  converse();
+
+  const obs::RegistrySnapshot s = server.stats_snapshot();
+  EXPECT_EQ(s.counter("wire.frames_in"), 20u);
+  ASSERT_NE(s.histogram("wire.stage.decode"), nullptr);
+  EXPECT_EQ(s.histogram("wire.stage.decode")->count, 20u);
+  EXPECT_EQ(s.counter("service.frames_processed"), 20u);
+  EXPECT_GT(s.counter("scheduler.pumps"), 0u);
+  EXPECT_GT(s.counter("scheduler.drain_tasks"), 0u);
+}
+
 TEST(WireServerClient, HeartbeatPingRecordsRoundTripTime) {
   Rig rig;
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   ASSERT_TRUE(rig.server.adopt(sv[0]));
-  WireClient pinger(sv[1], 64, &rig.registry);
+  WireClient pinger(sv[1], 64);
 
   pinger.heartbeat_ping(1, 1);
   for (int i = 0; i < 4; ++i) {
@@ -354,8 +396,8 @@ TEST(WireServerClient, HeartbeatPingRecordsRoundTripTime) {
     pinger.poll();
   }
   EXPECT_EQ(pinger.heartbeats_echoed(), 1u);
-  EXPECT_GT(pinger.last_heartbeat_rtt_s(), 0.0);
-  EXPECT_EQ(rig.registry.histogram("wire.heartbeat_rtt").count(), 1u);
+  EXPECT_EQ(pinger.heartbeat_rtt().count(), 1u);
+  EXPECT_GT(pinger.heartbeat_rtt().max(), 0.0);
 }
 
 TEST(WireServerClient, SteadyStateFramesNeverTouchRegistryMutex) {
@@ -388,9 +430,8 @@ TEST(WireServerClient, ProtocolErrorTriggersFlightRecorderAutoDump) {
   std::remove(path.c_str());
   recorder.arm_auto_dump(path, obs::kTriggerProtocolError);
 
-  WireServerConfig cfg = small_server_config();
-  cfg.flight_recorder = &recorder;
-  Rig rig(small_service_config(), cfg);
+  Rig rig;
+  rig.manager.attach_flight_recorder(&recorder);
   rig.client->hello(3, 1, 8, 8);
   rig.converse();
   (void)expect_one_ack(*rig.client);
