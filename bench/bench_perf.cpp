@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -37,6 +38,7 @@
 #include "model/snapshot.hpp"
 #include "service/load_generator.hpp"
 #include "simd/dispatch.hpp"
+#include "wire/protocol.hpp"
 
 namespace {
 
@@ -217,6 +219,47 @@ void BM_ChatTick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChatTick)->Unit(benchmark::kMicrosecond);
+
+/// One 96x72 frame pair across the wire format: encode_frame, then
+/// decode_message + parse_frame + frame_pixels_to_images into reused images
+/// (the server's pooled-job path). `eight_bit` rounds the render fixtures'
+/// frames to integers, so both planes travel as u8; otherwise they are f64.
+void BM_WireFrameRoundTrip96x72(benchmark::State& state, bool eight_bit) {
+  const RenderFixtures& f = render_fixtures();
+  image::Image tx = f.frames[0];
+  image::Image rx = f.frames[1];
+  if (eight_bit) {
+    for (image::Image* img : {&tx, &rx}) {
+      for (std::size_t i = 0; i < img->pixels().size(); ++i) {
+        image::Pixel& p = img->data()[i];
+        p = {std::round(p.r), std::round(p.g), std::round(p.b)};
+      }
+    }
+  }
+  std::vector<std::uint8_t> buf(wire::frame_wire_size(96, 72));
+  image::Image tx2(96, 72);
+  image::Image rx2(96, 72);
+  std::size_t n = 0;
+  for (auto _ : state) {
+    n = wire::encode_frame(buf.data(), buf.size(), 1, 1, 0, 0, tx, rx);
+    wire::MessageView view;
+    wire::FrameMsg frame;
+    if (wire::decode_message(buf.data(), n, &view) != wire::DecodeStatus::kOk ||
+        !wire::parse_frame(view, &frame)) {
+      state.SkipWithError("frame did not round-trip");
+      return;
+    }
+    wire::frame_pixels_to_images(frame, &tx2, &rx2);
+    benchmark::DoNotOptimize(tx2.data());
+    benchmark::DoNotOptimize(rx2.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["wire_bytes"] = static_cast<double>(n);
+}
+BENCHMARK_CAPTURE(BM_WireFrameRoundTrip96x72, f64, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WireFrameRoundTrip96x72, u8, true)
+    ->Unit(benchmark::kMicrosecond);
 
 // --- SIMD kernel before/after ----------------------------------------------
 //

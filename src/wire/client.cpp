@@ -55,6 +55,7 @@ void WireClient::send_frame(std::uint64_t token, std::uint32_t stream_id,
                             const image::Image& transmitted,
                             const image::Image& received,
                             std::uint64_t trace_id) {
+  // Reserves the f64 maximum; an 8-bit frame commits only its u8 size.
   queue(frame_wire_size(transmitted.width(), transmitted.height()),
         [&](std::uint8_t* buf, std::size_t cap) {
           return encode_frame(buf, cap, token, stream_id, frame_seq,

@@ -1,5 +1,7 @@
 #include "wire/protocol.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "wire/crc32.hpp"
@@ -7,8 +9,10 @@
 namespace lumichat::wire {
 namespace {
 
-// The frame payload is memcpy'd between the wire and image::Pixel storage,
-// which is only valid while a Pixel is exactly three packed doubles.
+// An f64 frame plane is memcpy'd between the wire and image::Pixel storage,
+// and a u8 plane is narrowed from and widened into that storage read as a
+// flat array of doubles; both are only valid while a Pixel is exactly three
+// packed doubles.
 static_assert(sizeof(image::Pixel) == 3 * sizeof(double),
               "wire frame payload assumes packed {r,g,b} doubles");
 
@@ -84,6 +88,92 @@ void seal_header(std::uint8_t* buf, std::size_t payload_len, MsgType type,
 /// True when the view is a `type` message with exactly `payload_len` bytes.
 bool expect(const MessageView& view, MsgType type, std::size_t payload_len) {
   return view.header.type == type && view.payload_len == payload_len;
+}
+
+/// Channels per block of the u8 plane loops (16 pixels). Full blocks go
+/// through a local buffer: a fixed trip count and a buffer that cannot alias
+/// the image let the compiler vectorize them at -O2 as well.
+constexpr std::size_t kPlaneBlock = 48;
+
+/// Writes channels v[0, n) as one byte each into out[0, n) and returns a
+/// word that is zero exactly when every channel widens back from its byte
+/// to the identical IEEE bits: finite, integral, in [0, 255] and not -0.0.
+///
+/// The test is branch-free so the loop vectorizes: adding 2^52 rounds x to
+/// an integer whose value lands in the low mantissa bits, so
+///   q = bits(x + 2^52) - bits(2^52)   is that integer when 0 <= x < 2^52,
+/// and x is exact iff q <= 255 and (x + 2^52) - 2^52 has x's very bits. A
+/// fraction rounds away, -0.0 comes back as +0.0, a subnormal as 0, and a
+/// negative or huge value (infinities and NaNs too) leaves q far above 255.
+/// (Needs IEEE double arithmetic — no -ffast-math, which would fold the
+/// round trip away.)
+std::uint64_t narrow_channels(const double* v, std::size_t n,
+                              std::uint8_t* out) {
+  constexpr double kTwo52 = 0x1p52;
+  constexpr std::uint64_t kTwo52Bits = std::bit_cast<std::uint64_t>(kTwo52);
+  std::uint64_t inexact = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double y = v[k] + kTwo52;
+    const std::uint64_t q = std::bit_cast<std::uint64_t>(y) - kTwo52Bits;
+    inexact |= (std::bit_cast<std::uint64_t>(y - kTwo52) ^
+                std::bit_cast<std::uint64_t>(v[k])) |
+               (q >> 8);
+    out[k] = static_cast<std::uint8_t>(q);
+  }
+  return inexact;
+}
+
+/// Writes `img` as one byte per channel into out[0, 3 * pixels) and returns
+/// true when narrow_channels finds every channel exact. Returns false
+/// (leaving `out` partly written) at the first block holding any other
+/// value, so a frame that is not 8-bit stops within its first pixels.
+bool narrow_plane(const image::Image& img, std::uint8_t* out) {
+  const auto* v = reinterpret_cast<const double*>(img.data());
+  const std::size_t n = img.pixels().size() * 3;
+  std::size_t i = 0;
+  for (; i + kPlaneBlock <= n; i += kPlaneBlock) {
+    std::uint8_t bytes[kPlaneBlock];
+    if (narrow_channels(v + i, kPlaneBlock, bytes) != 0) return false;
+    std::memcpy(out + i, bytes, kPlaneBlock);
+  }
+  return narrow_channels(v + i, n - i, out + i) == 0;
+}
+
+/// Writes one plane at `p` (which has `room` bytes), as u8 when exact and
+/// f64 otherwise, setting `u8_bit` in *format for a u8 plane. Returns the
+/// bytes written, or 0 when the plane does not fit.
+std::size_t put_plane(const image::Image& img, std::uint8_t* p,
+                      std::size_t room, std::uint32_t u8_bit,
+                      std::uint32_t* format) {
+  const std::size_t channels = img.pixels().size() * 3;
+  if (room < channels) return 0;
+  if (narrow_plane(img, p)) {
+    *format |= u8_bit;
+    return channels;
+  }
+  const std::size_t bytes = channels * sizeof(double);
+  if (room < bytes) return 0;
+  std::memcpy(p, img.data(), bytes);
+  return bytes;
+}
+
+/// Fills `img` (already w x h) from one plane at `p`, widening a u8 plane;
+/// returns the bytes read.
+std::size_t get_plane(const std::uint8_t* p, bool u8, image::Image* img) {
+  const std::size_t channels = img->pixels().size() * 3;
+  if (!u8) {
+    std::memcpy(img->data(), p, channels * sizeof(double));
+    return channels * sizeof(double);
+  }
+  auto* v = reinterpret_cast<double*>(img->data());
+  std::size_t i = 0;
+  for (; i + kPlaneBlock <= channels; i += kPlaneBlock) {
+    std::uint8_t bytes[kPlaneBlock];
+    std::memcpy(bytes, p + i, kPlaneBlock);
+    for (std::size_t k = 0; k < kPlaneBlock; ++k) v[i + k] = bytes[k];
+  }
+  for (; i < channels; ++i) v[i] = p[i];
+  return channels;
 }
 
 }  // namespace
@@ -170,29 +260,35 @@ std::size_t encode_frame(std::uint8_t* buf, std::size_t cap,
   const std::size_t w = transmitted.width();
   const std::size_t h = transmitted.height();
   if (w > kMaxFrameEdge || h > kMaxFrameEdge) return 0;
-  const std::size_t payload = frame_payload_size(w, h);
-  const std::size_t total = kHeaderSize + payload;
-  if (cap < total) return 0;
+  const std::size_t fixed = kHeaderSize + kFramePayloadFixedSize;
+  if (cap < fixed) return 0;
+
+  std::uint32_t format = 0;
+  std::uint8_t* planes = buf + fixed;
+  const std::size_t tx_bytes = put_plane(transmitted, planes, cap - fixed,
+                                         kTransmittedPlaneU8, &format);
+  if (tx_bytes == 0) return 0;
+  const std::size_t rx_bytes =
+      put_plane(received, planes + tx_bytes, cap - fixed - tx_bytes,
+                kReceivedPlaneU8, &format);
+  if (rx_bytes == 0) return 0;
 
   std::uint8_t* p = buf + kHeaderSize;
   put_u32(p, frame_seq);
-  put_u32(p + 4, 0);
+  put_u32(p + 4, format);
   put_u64(p + 8, timestamp_us);
   put_u32(p + 16, static_cast<std::uint32_t>(w));
   put_u32(p + 20, static_cast<std::uint32_t>(h));
   put_u64(p + 24, trace_id);
-  std::uint8_t* planes = p + kFramePayloadFixedSizeV2;
-  const std::size_t plane = w * h * sizeof(image::Pixel);
-  std::memcpy(planes, transmitted.pixels().data(), plane);
-  std::memcpy(planes + plane, received.pixels().data(), plane);
+  const std::size_t payload = kFramePayloadFixedSize + tx_bytes + rx_bytes;
   seal_header(buf, payload, MsgType::kFrame, session_token, stream_id);
-  return total;
+  return kHeaderSize + payload;
 }
 
 std::size_t encode_verdict(std::uint8_t* buf, std::size_t cap,
                            std::uint64_t session_token,
                            std::uint32_t stream_id, const VerdictMsg& msg) {
-  const std::size_t total = kHeaderSize + kVerdictPayloadSizeV2;
+  const std::size_t total = kHeaderSize + kVerdictPayloadSize;
   if (cap < total) return 0;
   std::uint8_t* p = buf + kHeaderSize;
   put_u32(p, msg.window_index);
@@ -202,7 +298,7 @@ std::size_t encode_verdict(std::uint8_t* buf, std::size_t cap,
   put_f64(p + 8, msg.lof_score);
   put_f64(p + 16, msg.push_to_verdict_s);
   put_u64(p + 24, msg.trace_id);
-  seal_header(buf, kVerdictPayloadSizeV2, MsgType::kVerdict, session_token,
+  seal_header(buf, kVerdictPayloadSize, MsgType::kVerdict, session_token,
               stream_id);
   return total;
 }
@@ -280,30 +376,33 @@ bool parse_hello_ack(const MessageView& view, HelloAckMsg* out) {
 
 bool parse_frame(const MessageView& view, FrameMsg* out) {
   if (view.header.type != MsgType::kFrame ||
-      view.payload_len < kFramePayloadFixedSizeV2) {
+      view.payload_len < kFramePayloadFixedSize) {
     return false;
   }
   out->frame_seq = get_u32(view.payload);
-  out->reserved = get_u32(view.payload + 4);
+  out->plane_format = get_u32(view.payload + 4);
   out->timestamp_us = get_u64(view.payload + 8);
   out->width = get_u32(view.payload + 16);
   out->height = get_u32(view.payload + 20);
   out->trace_id = get_u64(view.payload + 24);
   if (out->width == 0 || out->height == 0 || out->width > kMaxFrameEdge ||
-      out->height > kMaxFrameEdge) {
+      out->height > kMaxFrameEdge ||
+      (out->plane_format & ~kPlaneFormatsU8) != 0) {
     return false;
   }
-  // The announced dimensions must account for the payload exactly — a
-  // mismatch means a forged length field that a CRC alone cannot catch.
-  if (view.payload_len != frame_payload_size(out->width, out->height)) {
+  // The announced dimensions and plane formats must account for the payload
+  // exactly — a mismatch means a forged length field that a CRC alone
+  // cannot catch.
+  if (view.payload_len !=
+      frame_payload_size(out->width, out->height, out->plane_format)) {
     return false;
   }
-  out->pixels = view.payload + kFramePayloadFixedSizeV2;
+  out->pixels = view.payload + kFramePayloadFixedSize;
   return true;
 }
 
 bool parse_verdict(const MessageView& view, VerdictMsg* out) {
-  if (!expect(view, MsgType::kVerdict, kVerdictPayloadSizeV2)) return false;
+  if (!expect(view, MsgType::kVerdict, kVerdictPayloadSize)) return false;
   out->window_index = get_u32(view.payload);
   out->verdict = view.payload[4];
   out->is_attacker = view.payload[5];
@@ -358,9 +457,11 @@ void frame_pixels_to_images(const FrameMsg& frame, image::Image* transmitted,
   if (received->width() != w || received->height() != h) {
     *received = image::Image(w, h);
   }
-  const std::size_t plane = w * h * sizeof(image::Pixel);
-  std::memcpy(transmitted->data(), frame.pixels, plane);
-  std::memcpy(received->data(), frame.pixels + plane, plane);
+  const std::size_t tx_bytes =
+      get_plane(frame.pixels, (frame.plane_format & kTransmittedPlaneU8) != 0,
+                transmitted);
+  (void)get_plane(frame.pixels + tx_bytes,
+                  (frame.plane_format & kReceivedPlaneU8) != 0, received);
 }
 
 }  // namespace lumichat::wire

@@ -41,10 +41,13 @@
 //
 // Encode functions write into caller-supplied buffers and never allocate;
 // decode functions return bounds-checked views into the input buffer and
-// never read past `len`. Frame pixel payloads are raw little-endian f64
-// R,G,B triplets (lossless: a frame fed through encode/decode produces the
-// bit-identical image::Image, which is what lets the socketpair end-to-end
-// gate demand verdict equality with in-process feeding).
+// never read past `len`. A Frame carries each pixel plane as R,G,B triplets
+// in one of two encodings, chosen per plane and announced by the payload's
+// plane_format bits: one byte per channel when every channel widens back to
+// its exact IEEE bits (ordinary 8-bit video), raw little-endian f64
+// otherwise. Both are lossless: a frame fed through encode/decode produces
+// the bit-identical image::Image, which is what lets the socketpair
+// end-to-end gate demand verdict equality with in-process feeding.
 #pragma once
 
 #include <cstddef>
@@ -139,12 +142,20 @@ struct HelloAckMsg {
 };
 inline constexpr std::size_t kHelloAckPayloadSize = 16;
 
-/// Fixed part of a Frame payload; `pixels` points at the raw f64 planes
-/// (transmitted then received, each width*height R,G,B triplets). The
-/// trace_id sits between the dimensions and the planes.
+/// FrameMsg::plane_format bits. A set bit means that plane travels as one
+/// byte per channel; a clear bit means raw f64. Any other bit is malformed.
+inline constexpr std::uint32_t kTransmittedPlaneU8 = 0x1;
+inline constexpr std::uint32_t kReceivedPlaneU8 = 0x2;
+inline constexpr std::uint32_t kPlaneFormatsU8 =
+    kTransmittedPlaneU8 | kReceivedPlaneU8;
+
+/// Fixed part of a Frame payload; `pixels` points at the planes
+/// (transmitted then received, each width*height R,G,B triplets, each in
+/// the encoding its plane_format bit names). The trace_id sits between the
+/// dimensions and the planes.
 struct FrameMsg {
   std::uint32_t frame_seq = 0;
-  std::uint32_t reserved = 0;
+  std::uint32_t plane_format = 0;
   std::uint64_t timestamp_us = 0;
   std::uint32_t width = 0;
   std::uint32_t height = 0;
@@ -152,17 +163,25 @@ struct FrameMsg {
   const std::uint8_t* pixels = nullptr;
 };
 /// Fixed (pre-pixel) payload bytes of a Frame.
-inline constexpr std::size_t kFramePayloadFixedSizeV2 = 32;
+inline constexpr std::size_t kFramePayloadFixedSize = 32;
 
-/// Payload bytes of a Frame message carrying a w x h pair.
-[[nodiscard]] constexpr std::size_t frame_payload_size(std::size_t width,
-                                                       std::size_t height) {
-  return kFramePayloadFixedSizeV2 + 2 * width * height * 3 * sizeof(double);
+/// Payload bytes of a Frame message carrying a w x h pair in
+/// `plane_format`. The default, both planes f64, is the largest encoding:
+/// what a sender reserves before it knows which one a frame takes.
+[[nodiscard]] constexpr std::size_t frame_payload_size(
+    std::size_t width, std::size_t height, std::uint32_t plane_format = 0) {
+  const std::size_t channels = width * height * 3;
+  const auto plane = [&](std::uint32_t bit) {
+    return channels * ((plane_format & bit) != 0 ? 1 : sizeof(double));
+  };
+  return kFramePayloadFixedSize + plane(kTransmittedPlaneU8) +
+         plane(kReceivedPlaneU8);
 }
-/// Full wire size of a Frame message carrying a w x h pair.
-[[nodiscard]] constexpr std::size_t frame_wire_size(std::size_t width,
-                                                    std::size_t height) {
-  return kHeaderSize + frame_payload_size(width, height);
+/// Full wire size of a Frame message carrying a w x h pair in
+/// `plane_format` (default: the f64 maximum).
+[[nodiscard]] constexpr std::size_t frame_wire_size(
+    std::size_t width, std::size_t height, std::uint32_t plane_format = 0) {
+  return kHeaderSize + frame_payload_size(width, height, plane_format);
 }
 
 struct VerdictMsg {
@@ -174,7 +193,7 @@ struct VerdictMsg {
   double push_to_verdict_s = 0.0;
   std::uint64_t trace_id = 0;  ///< trace of the window-completing frame
 };
-inline constexpr std::size_t kVerdictPayloadSizeV2 = 32;
+inline constexpr std::size_t kVerdictPayloadSize = 32;
 
 struct HeartbeatMsg {
   std::uint64_t t_us = 0;
@@ -227,7 +246,10 @@ inline constexpr std::size_t kStatsReplyFixedSize = 8;
                                            std::uint64_t session_token,
                                            std::uint32_t stream_id,
                                            const HelloAckMsg& msg);
-/// Encodes the frame pair from two equally sized images.
+/// Encodes the frame pair from two equally sized images. Each plane goes
+/// out as one byte per channel when every channel is finite, integral, in
+/// [0, 255] and not -0.0 (so it widens back to the identical bits), and as
+/// f64 otherwise; the scan stops at the first value that rules u8 out.
 [[nodiscard]] std::size_t encode_frame(std::uint8_t* buf, std::size_t cap,
                                        std::uint64_t session_token,
                                        std::uint32_t stream_id,
@@ -272,8 +294,10 @@ inline constexpr std::size_t kStatsReplyFixedSize = 8;
 
 [[nodiscard]] bool parse_hello(const MessageView& view, HelloMsg* out);
 [[nodiscard]] bool parse_hello_ack(const MessageView& view, HelloAckMsg* out);
-/// Validates dimensions against the payload length (a Frame whose w*h does
-/// not match its payload_len is malformed, even with a valid CRC).
+/// Validates dimensions and plane_format against the payload length (a
+/// Frame whose w*h and plane formats do not account for its payload_len
+/// exactly, or that sets an unknown format bit, is malformed, even with a
+/// valid CRC).
 [[nodiscard]] bool parse_frame(const MessageView& view, FrameMsg* out);
 [[nodiscard]] bool parse_verdict(const MessageView& view, VerdictMsg* out);
 [[nodiscard]] bool parse_heartbeat(const MessageView& view, HeartbeatMsg* out);
@@ -283,9 +307,10 @@ inline constexpr std::size_t kStatsReplyFixedSize = 8;
 [[nodiscard]] bool parse_stats_reply(const MessageView& view,
                                      StatsReplyMsg* out);
 
-/// Copies a parsed frame's pixel planes into two caller-owned images.
-/// Reuses the images' storage when they already have the frame's
-/// dimensions (the arena steady state — no allocation); resizes otherwise.
+/// Copies a parsed frame's pixel planes into two caller-owned images,
+/// widening u8 planes back to f64. Reuses the images' storage when they
+/// already have the frame's dimensions (the arena steady state — no
+/// allocation); resizes otherwise.
 void frame_pixels_to_images(const FrameMsg& frame, image::Image* transmitted,
                             image::Image* received);
 

@@ -388,7 +388,7 @@ void WireServer::flush_verdicts(Connection& conn) {
         out.lof_score = w.lof_score;
         out.push_to_verdict_s = w.push_to_verdict_s;
         out.trace_id = w.trace_id;
-        const std::size_t total = kHeaderSize + kVerdictPayloadSizeV2;
+        const std::size_t total = kHeaderSize + kVerdictPayloadSize;
         conn.out.ensure_writable(total);
         conn.out.commit(encode_verdict(conn.out.write_ptr(), total,
                                        stream.token, it->first, out));

@@ -81,6 +81,20 @@ void collect_events(WireClient& client, std::vector<Chat>& chats,
 
 }  // namespace
 
+std::size_t socket_arena_jobs(std::size_t n_connections,
+                              std::size_t read_chunk, std::size_t frame_width,
+                              std::size_t frame_height) {
+  // Peak in-flight jobs per cycle: one read chunk of frames per connection
+  // (the per-cycle pump drains everything fed before the next read), counted
+  // at the smallest encoding, both planes u8, since that packs the most
+  // frames into a chunk.
+  return n_connections *
+             (read_chunk /
+                  frame_wire_size(frame_width, frame_height, kPlaneFormatsU8) +
+              2) +
+         64;
+}
+
 service::LoadReport run_socket_load(const service::LoadSpec& spec,
                                     const service::ServiceConfig& service_cfg,
                                     const core::StreamingConfig& streaming,
@@ -135,12 +149,8 @@ service::LoadReport run_socket_load(const service::LoadSpec& spec,
   server_cfg.idle_timeout_s = 0.0;  // the driving thread controls pacing
   server_cfg.frame_width = frame_w;
   server_cfg.frame_height = frame_h;
-  // Peak in-flight jobs per cycle: one read chunk of frames per connection
-  // (the per-cycle pump drains everything fed before the next read).
-  server_cfg.arena_initial =
-      n_conns * (server_cfg.read_chunk / frame_wire_size(frame_w, frame_h) +
-                 2) +
-      64;
+  server_cfg.arena_initial = socket_arena_jobs(n_conns, server_cfg.read_chunk,
+                                              frame_w, frame_h);
   WireServer server(manager, &scheduler, server_cfg);
   // Live-monitoring side door: lumichat_stat connects here and speaks
   // Stats requests while the load runs.

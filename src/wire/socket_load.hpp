@@ -48,6 +48,14 @@ struct SocketLoadOptions {
   std::string* last_stats_json = nullptr;
 };
 
+/// Arena jobs run_socket_load gives its WireServer so that no poll cycle
+/// outgrows the pool: what one read chunk per connection can decode, at the
+/// smallest Frame encoding of the geometry, plus slack.
+[[nodiscard]] std::size_t socket_arena_jobs(std::size_t n_connections,
+                                            std::size_t read_chunk,
+                                            std::size_t frame_width,
+                                            std::size_t frame_height);
+
 /// Runs `spec` through a WireServer over socketpairs. Sessions appear in
 /// ordinal order; ids are the server-assigned session ids.
 /// `pool` feeds the FrameScheduler (nullptr drains inline on the driving

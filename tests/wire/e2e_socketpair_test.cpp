@@ -4,15 +4,25 @@
 // bit-identical per-session verdict sequences — every window verdict, LOF
 // score bit pattern, and final vote. This is what licenses the socket bench
 // to report service-level accuracy numbers.
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hpp"
 #include "service/load_generator.hpp"
+#include "wire/client.hpp"
+#include "wire/routing.hpp"
+#include "wire/server.hpp"
 #include "wire/socket_load.hpp"
 
 #include "../service/service_test_util.hpp"
@@ -139,6 +149,242 @@ TEST(WireEndToEnd, NanDurationThrowsInsteadOfDriving) {
                                      test_streaming_config(),
                                      trained_registry()),
                std::invalid_argument);
+}
+
+// --- 8-bit frames ---------------------------------------------------------
+//
+// Real chat video is 8-bit, and a Frame then carries each plane at one byte
+// per channel. run_load and run_socket_load render their own f64 frames, so
+// these tests render a population up front, round it to 8 bits the way
+// paperbench's corpus stores frames, and feed the same frames both ways.
+
+/// Rounds a channel to 8 bits as paperbench's corpus does (clamp, then
+/// round half up).
+double to_8bit(double v) {
+  return static_cast<double>(
+      static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5));
+}
+
+image::Image to_8bit(image::Image img) {
+  for (std::size_t i = 0; i < img.pixels().size(); ++i) {
+    image::Pixel& p = img.data()[i];
+    p = image::Pixel{to_8bit(p.r), to_8bit(p.g), to_8bit(p.b)};
+  }
+  return img;
+}
+
+/// Frames of one chat, in tick order.
+using ChatFrames = std::vector<chat::FramePair>;
+
+/// Every chat's frames of `spec`, rounded to 8 bits, in chat order.
+std::vector<ChatFrames> eight_bit_frames(const service::LoadSpec& spec) {
+  const std::size_t ticks =
+      chat::tick_count(spec.duration_s, spec.sample_rate_hz);
+  std::vector<ChatFrames> chats(spec.n_sessions);
+  for (std::size_t c = 0; c < spec.n_sessions; ++c) {
+    const auto source = service::make_chat_source(
+        spec, c, service::load_session_is_attacker(spec, c));
+    for (std::size_t k = 0; k < ticks; ++k) {
+      chat::FramePair pair = source->next();
+      pair.transmitted = to_8bit(std::move(pair.transmitted));
+      pair.received = to_8bit(std::move(pair.received));
+      chats[c].push_back(std::move(pair));
+    }
+  }
+  return chats;
+}
+
+/// One window's outcome: the verdict and the LOF score's bits.
+using WindowOutcome = std::pair<core::Verdict, std::uint64_t>;
+using Outcomes = std::vector<std::vector<WindowOutcome>>;
+
+/// Feeds `frames` to a SessionManager in process, pumping every
+/// spec.ticks_per_pump ticks as run_load does.
+Outcomes feed_in_process(const service::LoadSpec& spec,
+                         const std::vector<ChatFrames>& frames) {
+  service::SessionManager manager(e2e_service_config(),
+                                  test_streaming_config(), trained_registry());
+  service::FrameScheduler scheduler(nullptr);
+  manager.attach_scheduler(&scheduler);
+  std::vector<service::SessionId> ids;
+  for (std::size_t c = 0; c < frames.size(); ++c) {
+    ids.push_back(manager.create().value());
+  }
+  const std::size_t ticks = frames.front().size();
+  for (std::size_t done = 0; done < ticks; done += spec.ticks_per_pump) {
+    for (std::size_t c = 0; c < frames.size(); ++c) {
+      for (std::size_t k = done;
+           k < std::min(ticks, done + spec.ticks_per_pump); ++k) {
+        const chat::FramePair& pair = frames[c][k];
+        EXPECT_TRUE(manager.feed(ids[c], pair.t_sec, pair.transmitted,
+                                 pair.received));
+      }
+    }
+    scheduler.pump();
+  }
+  Outcomes out(frames.size());
+  for (std::size_t c = 0; c < frames.size(); ++c) {
+    for (const service::WindowVerdict& w : manager.verdicts(ids[c])) {
+      out[c].emplace_back(w.verdict, std::bit_cast<std::uint64_t>(w.lof_score));
+    }
+  }
+  return out;
+}
+
+struct EightBitSocketRun {
+  Outcomes outcomes;
+  double client_bytes_per_frame = 0.0;
+  std::size_t arena_initial = 0;
+  FrameArena::Stats arena;
+};
+
+/// Sends `frames` over `n_conns` socketpairs to a WireServer whose arena is
+/// sized as run_socket_load sizes it, driving client and server in turn on
+/// this thread as run_socket_load does.
+EightBitSocketRun feed_over_socket(const service::LoadSpec& spec,
+                                   const std::vector<ChatFrames>& frames,
+                                   std::size_t n_conns) {
+  service::SessionManager manager(e2e_service_config(),
+                                  test_streaming_config(), trained_registry());
+  service::FrameScheduler scheduler(nullptr);
+  manager.attach_scheduler(&scheduler);
+  const std::size_t w = frames.front().front().transmitted.width();
+  const std::size_t h = frames.front().front().transmitted.height();
+  WireServerConfig cfg;
+  cfg.max_connections = n_conns;
+  cfg.idle_timeout_s = 0.0;
+  cfg.frame_width = w;
+  cfg.frame_height = h;
+  cfg.arena_initial = socket_arena_jobs(n_conns, cfg.read_chunk, w, h);
+  WireServer server(manager, &scheduler, cfg);
+
+  std::vector<std::unique_ptr<WireClient>> clients;
+  for (std::size_t c = 0; c < n_conns; ++c) {
+    int sv[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    EXPECT_TRUE(server.adopt(sv[0]));
+    clients.push_back(std::make_unique<WireClient>(sv[1], 1024));
+  }
+
+  const std::size_t n_chats = frames.size();
+  EightBitSocketRun run;
+  run.outcomes.resize(n_chats);
+  std::vector<service::SessionId> sessions(n_chats);
+  std::size_t acked = 0;
+  const auto collect = [&] {
+    for (auto& client : clients) {
+      client->poll();
+      AckEvent acks[64];
+      for (std::size_t n; (n = client->take_acks(acks, 64)) > 0;) {
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(acks[i].ack.status,
+                    static_cast<std::uint32_t>(HelloStatus::kAccepted));
+          sessions[acks[i].stream_id - 1] = acks[i].ack.assigned_session;
+          ++acked;
+        }
+      }
+      VerdictEvent verdicts[64];
+      for (std::size_t n; (n = client->take_verdicts(verdicts, 64)) > 0;) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const VerdictMsg& v = verdicts[i].verdict;
+          run.outcomes[verdicts[i].stream_id - 1].emplace_back(
+              static_cast<core::Verdict>(v.verdict),
+              std::bit_cast<std::uint64_t>(v.lof_score));
+        }
+      }
+    }
+  };
+  const auto token = [](std::size_t c) { return mix64(c + 1); };
+
+  for (std::size_t c = 0; c < n_chats; ++c) {
+    clients[c % n_conns]->hello(token(c), static_cast<std::uint32_t>(c + 1),
+                                static_cast<std::uint32_t>(w),
+                                static_cast<std::uint32_t>(h));
+  }
+  for (int spin = 0; acked < n_chats && spin < 10000; ++spin) {
+    for (auto& client : clients) client->flush();
+    (void)server.poll(0);
+    collect();
+  }
+  EXPECT_EQ(acked, n_chats);
+
+  const std::size_t ticks = frames.front().size();
+  std::size_t sent = 0;
+  std::size_t ingested = 0;
+  double bytes = 0.0;
+  for (std::size_t done = 0; done < ticks; done += spec.ticks_per_pump) {
+    for (std::size_t c = 0; c < n_chats; ++c) {
+      WireClient& client = *clients[c % n_conns];
+      for (std::size_t k = done;
+           k < std::min(ticks, done + spec.ticks_per_pump); ++k) {
+        const chat::FramePair& pair = frames[c][k];
+        const std::size_t before = client.pending_out();
+        client.send_frame(token(c), static_cast<std::uint32_t>(c + 1),
+                          static_cast<std::uint32_t>(k),
+                          static_cast<std::uint64_t>(
+                              std::llround(pair.t_sec * 1e6)),
+                          pair.transmitted, pair.received);
+        bytes += static_cast<double>(client.pending_out() - before);
+        ++sent;
+      }
+    }
+    for (int spin = 0; ingested < sent && spin < 10000; ++spin) {
+      for (auto& client : clients) client->flush();
+      ingested += server.poll(0);
+      collect();
+    }
+  }
+  EXPECT_EQ(ingested, sent);
+  const auto behind = [&] {
+    for (std::size_t c = 0; c < n_chats; ++c) {
+      if (run.outcomes[c].size() < manager.verdict_count(sessions[c])) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (int spin = 0; behind() && spin < 10000; ++spin) {
+    (void)server.poll(0);
+    collect();
+  }
+  run.client_bytes_per_frame = bytes / static_cast<double>(sent);
+  run.arena_initial = cfg.arena_initial;
+  run.arena = server.arena().stats();
+  return run;
+}
+
+TEST(WireEndToEnd, EightBitFullChatFramesCrossAsBytesWithIdenticalVerdicts) {
+  service::LoadSpec spec = e2e_spec();
+  spec.n_sessions = 4;
+  spec.full_chat = true;  // 96x72 frames, the paper-protocol geometry
+  const auto frames = eight_bit_frames(spec);
+  ASSERT_EQ(frames.front().front().transmitted.width(), 96u);
+  ASSERT_EQ(frames.front().front().transmitted.height(), 72u);
+
+  const Outcomes ref = feed_in_process(spec, frames);
+  // Two 2 s windows per session — a vacuous pass must not count.
+  ASSERT_EQ(ref.front().size(), 2u);
+  const EightBitSocketRun wire = feed_over_socket(spec, frames, 2);
+  EXPECT_EQ(wire.outcomes, ref);
+  // Both planes rode one byte per channel: 41,528 bytes a frame instead of
+  // the 331,832 an f64 pair takes.
+  EXPECT_EQ(wire.client_bytes_per_frame, 41528.0);
+  EXPECT_EQ(wire.arena.allocated_frames, wire.arena_initial);
+}
+
+TEST(WireEndToEnd, EightBitRunStaysInsideItsArena) {
+  // Many small 8-bit frames on one connection: one 64 KiB read decodes a
+  // whole block (60 sessions x 2 ticks x 440 bytes) before the pump drains
+  // it — more jobs than a pool sized by the f64 frame size holds.
+  service::LoadSpec spec = e2e_spec();
+  spec.n_sessions = 60;
+  const auto frames = eight_bit_frames(spec);
+  const EightBitSocketRun wire = feed_over_socket(spec, frames, 1);
+  EXPECT_EQ(wire.client_bytes_per_frame,
+            static_cast<double>(frame_wire_size(8, 8, kPlaneFormatsU8)));
+  EXPECT_EQ(wire.outcomes, feed_in_process(spec, frames));
+  EXPECT_EQ(wire.arena.allocated_frames, wire.arena_initial);
+  EXPECT_EQ(wire.arena.free_frames, wire.arena.allocated_frames);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // out-of-bounds read (the unit tier runs under ASan in CI).
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,21 +20,37 @@
 namespace lumichat::wire {
 namespace {
 
-image::Image random_image(std::size_t w, std::size_t h, common::Rng& rng) {
+/// Random plane; with `eight_bit`, every channel is an integer in [0, 255]
+/// (the values an 8-bit video frame holds), so the plane travels as u8.
+image::Image random_image(std::size_t w, std::size_t h, common::Rng& rng,
+                          bool eight_bit = false) {
+  const auto channel = [&] {
+    return eight_bit ? static_cast<double>(rng.uniform_int(0, 255))
+                     : rng.uniform(0.0, 255.0);
+  };
   image::Image img(w, h);
   for (std::size_t y = 0; y < h; ++y) {
     for (std::size_t x = 0; x < w; ++x) {
-      img.at(x, y) = image::Pixel{rng.uniform(0.0, 255.0),
-                                  rng.uniform(0.0, 255.0),
-                                  rng.uniform(0.0, 255.0)};
+      img.at(x, y) = image::Pixel{channel(), channel(), channel()};
     }
   }
   return img;
 }
 
-/// Encodes one randomized message of the given type into `buf`.
+/// Recomputes the CRC of the complete message in `buf` after a test has
+/// forged a payload field, so only the forged field is wrong.
+void reseal(std::vector<std::uint8_t>& buf, std::size_t n) {
+  const std::uint32_t crc = crc32_final(
+      crc32_update(crc32_update(kCrc32Init, buf.data(), 20),
+                   buf.data() + kHeaderSize, n - kHeaderSize));
+  std::memcpy(buf.data() + 20, &crc, sizeof(crc));
+}
+
+/// Encodes one randomized message of the given type into `buf`; with
+/// `eight_bit`, a Frame's planes are 8-bit and travel as u8.
 std::size_t encode_random(MsgType type, common::Rng& rng,
-                          std::vector<std::uint8_t>& buf) {
+                          std::vector<std::uint8_t>& buf,
+                          bool eight_bit = false) {
   const auto token = rng.uniform_int(0, ~0ull);
   const auto stream = static_cast<std::uint32_t>(rng.uniform_int(0, ~0u));
   switch (type) {
@@ -55,8 +72,8 @@ std::size_t encode_random(MsgType type, common::Rng& rng,
       common::Rng img_rng(rng.uniform_int(0, ~0ull));
       const std::size_t w = rng.uniform_int(1, 16);
       const std::size_t h = rng.uniform_int(1, 16);
-      const image::Image tx = random_image(w, h, img_rng);
-      const image::Image rx = random_image(w, h, img_rng);
+      const image::Image tx = random_image(w, h, img_rng, eight_bit);
+      const image::Image rx = random_image(w, h, img_rng, eight_bit);
       return encode_frame(buf.data(), buf.size(), token, stream,
                           static_cast<std::uint32_t>(rng.uniform_int(0, 999)),
                           rng.uniform_int(0, ~0ull), tx, rx);
@@ -184,6 +201,85 @@ TEST(WireProtocol, FramePixelsRoundTripBitIdentical) {
             0);
 }
 
+/// Encodes (tx, rx), decodes the result and checks that both planes come
+/// back bit-identical and that the frame announced `expect_format` and took
+/// exactly the bytes that format implies.
+void expect_frame_round_trip(const image::Image& tx, const image::Image& rx,
+                             std::uint32_t expect_format) {
+  std::vector<std::uint8_t> buf(frame_wire_size(tx.width(), tx.height()));
+  const std::size_t n =
+      encode_frame(buf.data(), buf.size(), 42, 1, 17, 123456, tx, rx);
+  ASSERT_EQ(n, frame_wire_size(tx.width(), tx.height(), expect_format));
+  MessageView view;
+  ASSERT_EQ(decode_message(buf.data(), n, &view), DecodeStatus::kOk);
+  FrameMsg frame;
+  ASSERT_TRUE(parse_frame(view, &frame));
+  EXPECT_EQ(frame.plane_format, expect_format);
+  image::Image tx2, rx2;
+  frame_pixels_to_images(frame, &tx2, &rx2);
+  ASSERT_EQ(tx2.width(), tx.width());
+  ASSERT_EQ(rx2.height(), rx.height());
+  const std::size_t bytes = tx.pixels().size() * sizeof(image::Pixel);
+  EXPECT_EQ(std::memcmp(tx2.data(), tx.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(rx2.data(), rx.data(), bytes), 0);
+}
+
+TEST(WireProtocol, FrameWireSizesFollowPlaneFormat) {
+  // The paper-protocol 96x72 pair: 7 of every 8 f64 bytes carry nothing
+  // when the frame is 8-bit. The default is the f64 maximum.
+  EXPECT_EQ(frame_wire_size(96, 72), 331832u);
+  EXPECT_EQ(frame_wire_size(96, 72, 0), 331832u);
+  EXPECT_EQ(frame_wire_size(96, 72, kPlaneFormatsU8), 41528u);
+  EXPECT_EQ(frame_wire_size(96, 72, kTransmittedPlaneU8),
+            frame_wire_size(96, 72, kReceivedPlaneU8));
+  EXPECT_EQ(frame_wire_size(96, 72, kTransmittedPlaneU8),
+            kHeaderSize + kFramePayloadFixedSize + 96 * 72 * 3 * 9);
+}
+
+TEST(WireProtocol, EightBitAndMixedFramesRoundTripBitIdentical) {
+  common::Rng rng(10);
+  const image::Image u8_tx = random_image(13, 9, rng, true);
+  const image::Image u8_rx = random_image(13, 9, rng, true);
+  const image::Image f64_tx = random_image(13, 9, rng);
+  const image::Image f64_rx = random_image(13, 9, rng);
+  expect_frame_round_trip(u8_tx, u8_rx, kPlaneFormatsU8);
+  expect_frame_round_trip(u8_tx, f64_rx, kTransmittedPlaneU8);
+  expect_frame_round_trip(f64_tx, u8_rx, kReceivedPlaneU8);
+  expect_frame_round_trip(f64_tx, f64_rx, 0);
+  // The extremes of the byte range are exact too.
+  expect_frame_round_trip(image::Image(3, 2, image::Pixel{0.0, 255.0, 1.0}),
+                          image::Image(3, 2, image::Pixel{255.0, 0.0, 128.0}),
+                          kPlaneFormatsU8);
+}
+
+TEST(WireProtocol, InexactChannelForcesItsPlaneToF64) {
+  // One bad channel in an otherwise 8-bit plane: the plane must go out as
+  // f64 (a byte could not widen back to these bits), the other plane stays
+  // u8, and the odd value survives bit for bit.
+  const double kInexact[] = {-0.0,
+                             255.5,
+                             256.0,
+                             -1.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::denorm_min(),
+                             1e-300};
+  // A pixel in the encoder's first 16-pixel block, one in its second, and
+  // the last pixel, which falls in the tail after the full blocks.
+  const std::size_t kAt[] = {0, 17, 34};
+  common::Rng rng(11);
+  const image::Image clean = random_image(7, 5, rng, true);
+  for (const double bad : kInexact) {
+    SCOPED_TRACE(bad);
+    for (const std::size_t at : kAt) {
+      SCOPED_TRACE(at);
+      image::Image dirty = clean;
+      dirty.data()[at].g = bad;
+      expect_frame_round_trip(dirty, clean, kReceivedPlaneU8);
+      expect_frame_round_trip(clean, dirty, kTransmittedPlaneU8);
+    }
+  }
+}
+
 TEST(WireProtocol, EncodeRefusesUndersizedBuffer) {
   std::vector<std::uint8_t> buf(kHeaderSize + kHelloPayloadSize - 1);
   EXPECT_EQ(encode_hello(buf.data(), buf.size(), 1, 1, HelloMsg{}), 0u);
@@ -191,6 +287,16 @@ TEST(WireProtocol, EncodeRefusesUndersizedBuffer) {
   const image::Image img = random_image(8, 8, rng);
   std::vector<std::uint8_t> small(frame_wire_size(8, 8) - 1);
   EXPECT_EQ(encode_frame(small.data(), small.size(), 1, 1, 0, 0, img, img),
+            0u);
+  // An 8-bit pair needs only its u8 size, and not one byte less.
+  const image::Image u8 = random_image(8, 8, rng, true);
+  const std::size_t exact = frame_wire_size(8, 8, kPlaneFormatsU8);
+  EXPECT_EQ(encode_frame(small.data(), exact, 1, 1, 0, 0, u8, u8), exact);
+  EXPECT_EQ(encode_frame(small.data(), exact - 1, 1, 1, 0, 0, u8, u8), 0u);
+  // A mixed pair whose f64 plane comes second needs room for it as well.
+  EXPECT_EQ(encode_frame(small.data(),
+                         frame_wire_size(8, 8, kTransmittedPlaneU8) - 1, 1, 1,
+                         0, 0, u8, img),
             0u);
 }
 
@@ -207,11 +313,23 @@ TEST(WireProtocol, EncodeFrameRejectsMismatchedOrOversizedImages) {
 
 // --- Hostile-input corpus -------------------------------------------------
 
+/// Every message type, then a Frame whose planes travel as u8.
+struct CorpusCase {
+  MsgType type;
+  bool eight_bit;
+};
+constexpr CorpusCase kCorpusCases[] = {
+    {MsgType::kHello, false},        {MsgType::kHelloAck, false},
+    {MsgType::kFrame, false},        {MsgType::kVerdict, false},
+    {MsgType::kHeartbeat, false},    {MsgType::kBye, false},
+    {MsgType::kStatsRequest, false}, {MsgType::kStatsReply, false},
+    {MsgType::kFrame, true}};
+
 TEST(WireProtocolCorpus, EveryTruncationIsNeverOk) {
   common::Rng rng(77);
   std::vector<std::uint8_t> buf(frame_wire_size(16, 16));
-  for (const MsgType type : kAllTypes) {
-    const std::size_t n = encode_random(type, rng, buf);
+  for (const auto [type, eight_bit] : kCorpusCases) {
+    const std::size_t n = encode_random(type, rng, buf, eight_bit);
     ASSERT_GT(n, 0u);
     for (std::size_t len = 0; len < n; ++len) {
       MessageView view;
@@ -219,6 +337,7 @@ TEST(WireProtocolCorpus, EveryTruncationIsNeverOk) {
       // A strict prefix of a valid message can never decode as complete;
       // it is kNeedMore until enough bytes arrive to prove corruption.
       EXPECT_NE(st, DecodeStatus::kOk) << "type " << static_cast<int>(type)
+                                       << " u8 " << eight_bit
                                        << " truncated at " << len;
     }
   }
@@ -227,8 +346,8 @@ TEST(WireProtocolCorpus, EveryTruncationIsNeverOk) {
 TEST(WireProtocolCorpus, EverySingleBitFlipIsNeverOk) {
   common::Rng rng(78);
   std::vector<std::uint8_t> buf(frame_wire_size(4, 4));
-  for (const MsgType type : kAllTypes) {
-    const std::size_t n = encode_random(type, rng, buf);
+  for (const auto [type, eight_bit] : kCorpusCases) {
+    const std::size_t n = encode_random(type, rng, buf, eight_bit);
     ASSERT_GT(n, 0u);
     for (std::size_t byte = 0; byte < n; ++byte) {
       for (int bit = 0; bit < 8; ++bit) {
@@ -239,8 +358,8 @@ TEST(WireProtocolCorpus, EverySingleBitFlipIsNeverOk) {
         // CRC (kMalformed) or inflates payload_len (kNeedMore) — it can
         // never pass as a valid message.
         EXPECT_NE(st, DecodeStatus::kOk)
-            << "type " << static_cast<int>(type) << " bit " << bit
-            << " of byte " << byte;
+            << "type " << static_cast<int>(type) << " u8 " << eight_bit
+            << " bit " << bit << " of byte " << byte;
         buf[byte] ^= static_cast<std::uint8_t>(1 << bit);
       }
     }
@@ -296,15 +415,55 @@ TEST(WireProtocolCorpus, ForgedFrameDimensionsFailParse) {
   // 9 x 8 does not account for the payload bytes.
   const std::uint32_t forged_w = 9;
   std::memcpy(buf.data() + kHeaderSize + 16, &forged_w, sizeof(forged_w));
-  const std::uint32_t crc = crc32_final(
-      crc32_update(crc32_update(kCrc32Init, buf.data(), 20),
-                   buf.data() + kHeaderSize, buf.size() - kHeaderSize));
-  std::memcpy(buf.data() + 20, &crc, sizeof(crc));
+  reseal(buf, buf.size());
 
   MessageView view;
   ASSERT_EQ(decode_message(buf.data(), buf.size(), &view), DecodeStatus::kOk);
   FrameMsg frame;
   EXPECT_FALSE(parse_frame(view, &frame));
+}
+
+TEST(WireProtocolCorpus, ForgedPlaneFormatFailsParse) {
+  common::Rng rng(6);
+  const image::Image u8 = random_image(8, 8, rng, true);
+  const image::Image f64 = random_image(8, 8, rng);
+  // Each case encodes a pair, forges plane_format (payload offset 4) and
+  // re-seals the CRC, so only the format word is wrong.
+  struct Case {
+    const image::Image* tx;
+    const image::Image* rx;
+    std::uint32_t forged;
+  };
+  const Case cases[] = {
+      // Unknown format bits, with and without the known ones.
+      {&u8, &u8, kPlaneFormatsU8 | 0x4},
+      {&f64, &f64, 0x80000000u},
+      {&f64, &u8, 0x8},
+      // A payload_len that fits another format than the one announced.
+      // (The two mixed formats share one size; only the CRC tells them
+      // apart, as it does any other flipped payload bit.)
+      {&u8, &u8, 0},
+      {&u8, &u8, kTransmittedPlaneU8},
+      {&f64, &f64, kPlaneFormatsU8},
+      {&f64, &f64, kReceivedPlaneU8},
+      {&u8, &f64, kPlaneFormatsU8},
+      {&u8, &f64, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.forged);
+    std::vector<std::uint8_t> buf(frame_wire_size(8, 8));
+    const std::size_t n =
+        encode_frame(buf.data(), buf.size(), 1, 1, 0, 0, *c.tx, *c.rx);
+    ASSERT_GT(n, 0u);
+    MessageView view;
+    FrameMsg frame;
+    ASSERT_EQ(decode_message(buf.data(), n, &view), DecodeStatus::kOk);
+    ASSERT_TRUE(parse_frame(view, &frame));
+    std::memcpy(buf.data() + kHeaderSize + 4, &c.forged, sizeof(c.forged));
+    reseal(buf, n);
+    ASSERT_EQ(decode_message(buf.data(), n, &view), DecodeStatus::kOk);
+    EXPECT_FALSE(parse_frame(view, &frame));
+  }
 }
 
 TEST(WireProtocolCorpus, WrongPayloadSizeFailsTypedParse) {
@@ -359,7 +518,7 @@ TEST(WireProtocol, VerdictTraceIdRoundTrips) {
   in.window_index = 7;
   in.trace_id = 0xFEEDFACEull;
   const std::size_t n = encode_verdict(buf.data(), buf.size(), 1, 1, in);
-  ASSERT_EQ(n, kHeaderSize + kVerdictPayloadSizeV2);
+  ASSERT_EQ(n, kHeaderSize + kVerdictPayloadSize);
   MessageView view;
   ASSERT_EQ(decode_message(buf.data(), n, &view), DecodeStatus::kOk);
   VerdictMsg out;

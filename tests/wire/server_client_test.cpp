@@ -294,7 +294,7 @@ TEST(WireServerClient, AdoptRefusedPastMaxConnections) {
 TEST(WireServerClient, ServerToClientMessageTypeFromClientIsProtocolError) {
   Rig rig;
   VerdictMsg bogus;
-  std::uint8_t buf[kHeaderSize + kVerdictPayloadSizeV2];
+  std::uint8_t buf[kHeaderSize + kVerdictPayloadSize];
   const std::size_t n = encode_verdict(buf, sizeof(buf), 1, 1, bogus);
   ASSERT_GT(::send(rig.client->fd(), buf, n, 0), 0);
   rig.converse(6);
