@@ -22,6 +22,7 @@
 #include <functional>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "chat/codec.hpp"
@@ -29,6 +30,7 @@
 #include "core/detector.hpp"
 #include "core/luminance_extractor.hpp"
 #include "core/preprocess.hpp"
+#include "core/streaming.hpp"
 #include "eval/dataset.hpp"
 #include "eval/population.hpp"
 #include "face/landmark_detector.hpp"
@@ -87,6 +89,53 @@ void BM_LandmarkDetectionPerFrame(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LandmarkDetectionPerFrame);
+
+/// One intra-window StreamingDetector::push of a rendered 96x72 pair
+/// rounded to 8 bits: `eight_bit` pushes the ImageU8 planes the wire
+/// delivers, otherwise the same values widened to f64 Images. The window
+/// is flushed one sample before it would complete, so no push runs the
+/// window step.
+void BM_StreamingPush96x72(benchmark::State& state, bool eight_bit) {
+  Fixtures& f = fixtures();
+  image::ImageU8 tx_u8(96, 72);
+  image::ImageU8 rx_u8(96, 72);
+  image::Image tx(96, 72);
+  image::Image rx(96, 72);
+  for (const auto& [from, u8, f64] :
+       {std::tuple{&f.trace.transmitted.frames[50], &tx_u8, &tx},
+        std::tuple{&f.trace.received.frames[50], &rx_u8, &rx}}) {
+    if (from->width() != 96 || from->height() != 72) {
+      state.SkipWithError("fixture frames are not 96x72");
+      return;
+    }
+    const auto* in = reinterpret_cast<const double*>(from->data());
+    auto* out = reinterpret_cast<double*>(f64->data());
+    for (std::size_t i = 0; i < u8->size_bytes(); ++i) {
+      u8->data()[i] =
+          static_cast<std::uint8_t>(std::clamp(in[i], 0.0, 255.0) + 0.5);
+      out[i] = u8->data()[i];
+    }
+  }
+  core::StreamingConfig cfg;
+  cfg.detector = f.profile.detector_config();
+  core::StreamingDetector sd(cfg);
+  sd.set_explanation_sink(nullptr);
+  const double dt = 1.0 / cfg.detector.sample_rate_hz;
+  double t = 0.0;
+  for (auto _ : state) {
+    const auto r = eight_bit ? sd.push(t, tx_u8, rx_u8) : sd.push(t, tx, rx);
+    benchmark::DoNotOptimize(r);
+    t += dt;
+    if (sd.pending_samples() + 1 >= static_cast<std::size_t>(
+                                        std::llround(cfg.window_s / dt))) {
+      (void)sd.flush();
+    }
+  }
+}
+BENCHMARK_CAPTURE(BM_StreamingPush96x72, f64, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_StreamingPush96x72, u8, true)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_LuminanceExtraction15sClip(benchmark::State& state) {
   Fixtures& f = fixtures();

@@ -19,6 +19,29 @@ void require_rate(const chat::VideoClip& clip, const DetectorConfig& config) {
   }
 }
 
+/// append_received() for either frame form.
+template <class Frame>
+bool append_sample(const face::LandmarkDetector& detector, const Frame& frame,
+                   ReceivedHold& hold, signal::Signal& out) {
+  if (!frame.empty()) {
+    if (const auto lm = detector.detect(frame)) {
+      const image::RectF roi = face::nasal_roi_f(*lm);
+      if (!roi.empty()) {
+        const double value = image::roi_luminance(frame, roi);
+        if (!hold.seen) {
+          std::fill(out.begin(), out.end(), value);
+          hold.seen = true;
+        }
+        hold.last = value;
+        out.push_back(value);
+        return true;
+      }
+    }
+  }
+  out.push_back(hold.last);
+  return false;
+}
+
 }  // namespace
 
 LuminanceExtractor::LuminanceExtractor(DetectorConfig config)
@@ -45,23 +68,13 @@ ReceivedExtraction LuminanceExtractor::received_signal(
 bool LuminanceExtractor::append_received(const image::Image& frame,
                                          ReceivedHold& hold,
                                          signal::Signal& out) const {
-  if (!frame.empty()) {
-    if (const auto lm = landmark_detector_.detect(frame)) {
-      const image::RectF roi = face::nasal_roi_f(*lm);
-      if (!roi.empty()) {
-        const double value = image::roi_luminance(frame, roi);
-        if (!hold.seen) {
-          std::fill(out.begin(), out.end(), value);
-          hold.seen = true;
-        }
-        hold.last = value;
-        out.push_back(value);
-        return true;
-      }
-    }
-  }
-  out.push_back(hold.last);
-  return false;
+  return append_sample(landmark_detector_, frame, hold, out);
+}
+
+bool LuminanceExtractor::append_received(const image::ImageU8& frame,
+                                         ReceivedHold& hold,
+                                         signal::Signal& out) const {
+  return append_sample(landmark_detector_, frame, hold, out);
 }
 
 }  // namespace lumichat::core

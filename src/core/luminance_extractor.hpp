@@ -56,6 +56,9 @@ class LuminanceExtractor {
   /// filter chain sees no fake step before the face first appears.
   bool append_received(const image::Image& frame, ReceivedHold& hold,
                        signal::Signal& out) const;
+  /// As above over an 8-bit frame: the same sample as its widened Image.
+  bool append_received(const image::ImageU8& frame, ReceivedHold& hold,
+                       signal::Signal& out) const;
 
   [[nodiscard]] const DetectorConfig& config() const { return config_; }
 

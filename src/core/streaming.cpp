@@ -60,9 +60,9 @@ void StreamingDetector::emit_explanation(const DetectionResult& result) {
       static_cast<std::uint64_t>(window_verdicts_.size() - 1), &tally));
 }
 
-std::optional<DetectionResult> StreamingDetector::push(
-    double t_sec, const image::Image& transmitted,
-    const image::Image& received) {
+template <class Frame>
+std::optional<DetectionResult> StreamingDetector::push_pair(
+    double t_sec, const Frame& transmitted, const Frame& received) {
   if (t_sec + 1e-9 < next_sample_at_) return std::nullopt;  // too fast
   next_sample_at_ = t_sec + 1.0 / config_.detector.sample_rate_hz;
 
@@ -82,6 +82,18 @@ std::optional<DetectionResult> StreamingDetector::push(
   emit_explanation(result);
   reset_window();
   return result;
+}
+
+std::optional<DetectionResult> StreamingDetector::push(
+    double t_sec, const image::Image& transmitted,
+    const image::Image& received) {
+  return push_pair(t_sec, transmitted, received);
+}
+
+std::optional<DetectionResult> StreamingDetector::push(
+    double t_sec, const image::ImageU8& transmitted,
+    const image::ImageU8& received) {
+  return push_pair(t_sec, transmitted, received);
 }
 
 VoteOutcome StreamingDetector::running_verdict() const {

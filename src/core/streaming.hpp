@@ -74,6 +74,11 @@ class StreamingDetector {
   [[nodiscard]] std::optional<DetectionResult> push(
       double t_sec, const image::Image& transmitted,
       const image::Image& received);
+  /// As above for an 8-bit pair: the verdicts of its widened Images, bit
+  /// for bit.
+  [[nodiscard]] std::optional<DetectionResult> push(
+      double t_sec, const image::ImageU8& transmitted,
+      const image::ImageU8& received);
 
   /// Majority-vote outcome over all completed windows so far.
   [[nodiscard]] VoteOutcome running_verdict() const;
@@ -134,6 +139,10 @@ class StreamingDetector {
 
   void reset_window();
   void emit_explanation(const DetectionResult& result);
+  template <class Frame>
+  std::optional<DetectionResult> push_pair(double t_sec,
+                                           const Frame& transmitted,
+                                           const Frame& received);
 };
 
 }  // namespace lumichat::core

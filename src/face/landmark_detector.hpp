@@ -14,6 +14,8 @@
 //      model is trained against annotated data).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <optional>
 
 #include "face/landmarks.hpp"
@@ -35,17 +37,29 @@ struct DetectorSpec {
 
 class LandmarkDetector {
  public:
-  explicit LandmarkDetector(DetectorSpec spec = {}) : spec_(spec) {}
+  explicit LandmarkDetector(DetectorSpec spec = {});
 
   /// Detects nasal landmarks in an 8-bit-range captured frame.
   /// Returns std::nullopt when no face-like region is found.
   [[nodiscard]] std::optional<Landmarks> detect(
       const image::Image& frame) const;
 
+  /// As above over an 8-bit frame: the widened Image's landmarks, bit for
+  /// bit (the skin test compares the same doubles, and the mask moments
+  /// are the same integers).
+  [[nodiscard]] std::optional<Landmarks> detect(
+      const image::ImageU8& frame) const;
+
   [[nodiscard]] const DetectorSpec& spec() const { return spec_; }
 
  private:
   DetectorSpec spec_;
+  /// The skin test precomputed per byte value: an 8-bit pixel is skin iff
+  /// r >= max(min_r_for_b_[b], min_r_for_g_[g]), each entry being the
+  /// smallest r (256: none) that passes the spec's double comparisons for
+  /// that b or g. min_red is folded into the b table.
+  std::array<std::uint16_t, 256> min_r_for_b_{};
+  std::array<std::uint16_t, 256> min_r_for_g_{};
 };
 
 }  // namespace lumichat::face

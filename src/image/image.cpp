@@ -11,6 +11,16 @@ static_assert(sizeof(Pixel) == 3 * sizeof(double),
               "Pixel must be three tightly packed doubles for the SIMD "
               "channel-sum kernel to reinterpret pixel storage");
 
+namespace {
+
+/// The mean pixel from its channel sums over `n` pixels.
+Pixel mean_of_sums(const double sums[3], std::size_t n) {
+  const double inv = 1.0 / static_cast<double>(n);
+  return {sums[0] * inv, sums[1] * inv, sums[2] * inv};
+}
+
+}  // namespace
+
 Image::Image(std::size_t width, std::size_t height, Pixel fill)
     : width_(width), height_(height), pixels_(width * height, fill) {}
 
@@ -76,8 +86,7 @@ Pixel Image::mean_pixel() const {
   double sums[3];
   simd::active().rgb_channel_sums(
       reinterpret_cast<const double*>(pixels_.data()), pixels_.size(), sums);
-  const double inv = 1.0 / static_cast<double>(pixels_.size());
-  return {sums[0] * inv, sums[1] * inv, sums[2] * inv};
+  return mean_of_sums(sums, pixels_.size());
 }
 
 void Image::fill_rect(const Rect& rect, Pixel value) {
@@ -88,6 +97,37 @@ void Image::fill_rect(const Rect& rect, Pixel value) {
   for (std::size_t y = y0; y < y1; ++y) {
     for (std::size_t x = x0; x < x1; ++x) (*this)(x, y) = value;
   }
+}
+
+ImageU8::ImageU8(std::size_t width, std::size_t height)
+    : width_(width), height_(height), bytes_(width * height * 3) {}
+
+Pixel ImageU8::mean_pixel() const {
+  if (empty()) return {};
+  // Lane k of a 48-byte (16-pixel) block sums channel k % 3, in u16 runs
+  // of at most 257 blocks (257 * 255 < 2^16) so the compiler can widen
+  // and add a vector of bytes at a time. The channel sums are integers
+  // below 2^53, so they equal the f64 kernel's sums over the widened Image
+  // exactly, whatever order either adds in.
+  constexpr std::size_t kBlock = 48;
+  constexpr std::size_t kRunBlocks = 257;
+  const std::uint8_t* p = bytes_.data();
+  const std::size_t n = bytes_.size();
+  std::uint64_t channel[3] = {};
+  std::size_t i = 0;
+  while (i + kBlock <= n) {
+    std::uint16_t lanes[kBlock] = {};
+    const std::size_t blocks = std::min((n - i) / kBlock, kRunBlocks);
+    for (std::size_t b = 0; b < blocks; ++b, i += kBlock) {
+      for (std::size_t k = 0; k < kBlock; ++k) lanes[k] += p[i + k];
+    }
+    for (std::size_t k = 0; k < kBlock; ++k) channel[k % 3] += lanes[k];
+  }
+  for (; i < n; ++i) channel[i % 3] += p[i];
+  const double sums[3] = {static_cast<double>(channel[0]),
+                          static_cast<double>(channel[1]),
+                          static_cast<double>(channel[2])};
+  return mean_of_sums(sums, width_ * height_);
 }
 
 }  // namespace lumichat::image

@@ -55,6 +55,10 @@ struct RectF {
   [[nodiscard]] bool empty() const { return width <= 0.0 || height <= 0.0; }
 };
 
+/// Largest frame edge the service accepts: the wire protocol rejects wider
+/// or taller frames, and 8-bit ROI rows up to this width widen on the stack.
+inline constexpr std::size_t kMaxFrameEdge = 512;
+
 /// A dense RGB image. Row-major storage; (0,0) is the top-left corner.
 class Image {
  public:
@@ -102,6 +106,41 @@ class Image {
   std::size_t width_ = 0;
   std::size_t height_ = 0;
   std::vector<Pixel> pixels_;
+};
+
+/// An 8-bit RGB raster: row-major interleaved R,G,B bytes, the form a
+/// camera emits and the wire's u8 planes carry. Widening each channel to
+/// double gives exactly the Image of the same frame, so every reduction the
+/// detector runs over it (image/luminance.hpp, face::LandmarkDetector)
+/// returns the Image's bits.
+class ImageU8 {
+ public:
+  ImageU8() = default;
+  /// A zero-filled width x height raster.
+  ImageU8(std::size_t width, std::size_t height);
+
+  [[nodiscard]] std::size_t width() const { return width_; }
+  [[nodiscard]] std::size_t height() const { return height_; }
+  [[nodiscard]] bool empty() const { return bytes_.empty(); }
+
+  /// The 3 * width R,G,B bytes of row `y` (unchecked).
+  [[nodiscard]] const std::uint8_t* row(std::size_t y) const {
+    return bytes_.data() + y * width_ * 3;
+  }
+
+  /// Mean pixel over the whole image; bit-identical to the widened Image's
+  /// mean_pixel() (its channel sums are integers, exact in any order).
+  [[nodiscard]] Pixel mean_pixel() const;
+
+  /// Raw interleaved storage (3 * width * height bytes), for bulk I/O.
+  [[nodiscard]] std::uint8_t* data() { return bytes_.data(); }
+  [[nodiscard]] const std::uint8_t* data() const { return bytes_.data(); }
+  [[nodiscard]] std::size_t size_bytes() const { return bytes_.size(); }
+
+ private:
+  std::size_t width_ = 0;
+  std::size_t height_ = 0;
+  std::vector<std::uint8_t> bytes_;
 };
 
 }  // namespace lumichat::image

@@ -23,6 +23,9 @@ inline constexpr double kLumaB = 0.0722;
 /// the transmitted video into a single pixel" measurement.
 [[nodiscard]] double frame_luminance(const Image& frame);
 
+/// As above over an 8-bit frame; the bits of the widened Image's result.
+[[nodiscard]] double frame_luminance(const ImageU8& frame);
+
 /// Mean luminance over a region of interest (clipped to the frame).
 /// Returns 0 for an empty intersection.
 [[nodiscard]] double roi_luminance(const Image& frame, const Rect& roi);
@@ -38,5 +41,10 @@ inline constexpr double kLumaB = 0.0722;
 /// under both tables within one process.
 [[nodiscard]] double roi_luminance(const Image& frame, const RectF& roi,
                                    const simd::Kernels& kern);
+
+/// The sub-pixel ROI mean over an 8-bit frame: each covered row is widened
+/// to f64 and reduced exactly as the Image overloads reduce it, so the
+/// result is the widened Image's, bit for bit.
+[[nodiscard]] double roi_luminance(const ImageU8& frame, const RectF& roi);
 
 }  // namespace lumichat::image

@@ -81,7 +81,9 @@ std::size_t ServiceSession::drain() {
   for (FrameJob& job : drain_batch_) {
     const ServiceClock::time_point t_pickup = ServiceClock::now();
     const auto verdict =
-        detector_.push(job.t_sec, job.transmitted, job.received);
+        job.eight_bit
+            ? detector_.push(job.t_sec, job.transmitted_u8, job.received_u8)
+            : detector_.push(job.t_sec, job.transmitted, job.received);
     ++processed;
     const ServiceClock::time_point t_done = ServiceClock::now();
     const double queue_wait =

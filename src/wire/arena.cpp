@@ -18,6 +18,8 @@ service::FrameJob FrameArena::make_job() const {
   service::FrameJob job;
   job.transmitted = image::Image(width_, height_);
   job.received = image::Image(width_, height_);
+  job.transmitted_u8 = image::ImageU8(width_, height_);
+  job.received_u8 = image::ImageU8(width_, height_);
   return job;
 }
 
@@ -41,9 +43,11 @@ service::FrameJob FrameArena::acquire() {
 
 void FrameArena::recycle(service::FrameJob&& job) noexcept {
   job.recycler = nullptr;
-  if (job.transmitted.width() != width_ ||
-      job.transmitted.height() != height_ ||
-      job.received.width() != width_ || job.received.height() != height_) {
+  const auto fits = [this](const auto& plane) {
+    return plane.width() == width_ && plane.height() == height_;
+  };
+  if (!fits(job.transmitted) || !fits(job.received) ||
+      !fits(job.transmitted_u8) || !fits(job.received_u8)) {
     return;  // foreign geometry — let it die rather than poison the pool
   }
   const std::lock_guard<std::mutex> lock(mu_);

@@ -4,7 +4,7 @@
 // this arena; after the detector has consumed the job, ServiceSession calls
 // release_frame_job() which routes the storage back here through the
 // FrameRecycler interface. Once the pool has warmed up to the peak number
-// of in-flight frames, the same Image buffers cycle
+// of in-flight frames, the same buffers (f64 images and 8-bit planes) cycle
 //
 //     acquire -> decode-into -> queue -> detector -> recycle -> acquire ...
 //
@@ -36,8 +36,8 @@ class FrameArena final : public service::FrameRecycler {
   FrameArena(const FrameArena&) = delete;
   FrameArena& operator=(const FrameArena&) = delete;
 
-  /// A job with both images sized to the pool geometry and recycler set to
-  /// this arena. Pops the freelist when possible; allocates a new job only
+  /// A job with both images and both 8-bit planes sized to the pool
+  /// geometry and recycler set to this arena. Pops the freelist when possible; allocates a new job only
   /// when every pooled job is in flight (pool growth, not steady state).
   [[nodiscard]] service::FrameJob acquire();
 

@@ -464,4 +464,18 @@ void frame_pixels_to_images(const FrameMsg& frame, image::Image* transmitted,
                   (frame.plane_format & kReceivedPlaneU8) != 0, received);
 }
 
+void frame_pixels_to_bytes(const FrameMsg& frame, image::ImageU8* transmitted,
+                           image::ImageU8* received) {
+  const std::size_t w = frame.width;
+  const std::size_t h = frame.height;
+  for (image::ImageU8* plane : {transmitted, received}) {
+    if (plane->width() != w || plane->height() != h) {
+      *plane = image::ImageU8(w, h);
+    }
+  }
+  const std::size_t bytes = transmitted->size_bytes();
+  std::memcpy(transmitted->data(), frame.pixels, bytes);
+  std::memcpy(received->data(), frame.pixels + bytes, bytes);
+}
+
 }  // namespace lumichat::wire

@@ -64,8 +64,9 @@ inline constexpr std::size_t kHeaderSize = 24;
 /// malformed (a 128x128 f64 frame pair is ~786 KiB, so 4 MiB leaves room
 /// without letting a hostile length allocate the moon).
 inline constexpr std::size_t kMaxPayload = 4u << 20;
-/// Largest frame edge the protocol accepts.
-inline constexpr std::uint32_t kMaxFrameEdge = 512;
+/// Largest frame edge the protocol accepts (the image layer's limit).
+inline constexpr auto kMaxFrameEdge =
+    static_cast<std::uint32_t>(image::kMaxFrameEdge);
 
 /// Header flag bits.
 /// kFlagEcho marks a Heartbeat as the echo of an earlier ping: the receiver
@@ -313,5 +314,11 @@ inline constexpr std::size_t kStatsReplyFixedSize = 8;
 /// allocation); resizes otherwise.
 void frame_pixels_to_images(const FrameMsg& frame, image::Image* transmitted,
                             image::Image* received);
+
+/// Copies a parsed frame whose planes are both u8 (plane_format ==
+/// kPlaneFormatsU8) into two caller-owned 8-bit images, byte for byte.
+/// Reuses their storage as frame_pixels_to_images() does.
+void frame_pixels_to_bytes(const FrameMsg& frame, image::ImageU8* transmitted,
+                           image::ImageU8* received);
 
 }  // namespace lumichat::wire

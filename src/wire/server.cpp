@@ -36,6 +36,8 @@ WireServer::WireServer(service::SessionManager& manager,
       rejects_(manager.metrics().counter("wire.hello_rejects")),
       idle_closed_(manager.metrics().counter("wire.idle_closed")),
       stats_served_(manager.metrics().counter("wire.stats_served")),
+      windows_completed_(
+          manager.metrics().counter("service.windows_completed")),
       push_to_verdict_(manager.metrics().histogram("wire.push_to_verdict")),
       poll_cycle_(manager.metrics().histogram("wire.poll_cycle")),
       stage_decode_(manager.metrics().histogram("wire.stage.decode")),
@@ -130,8 +132,15 @@ std::size_t WireServer::poll(int timeout_ms) {
   // same read batch still sees every verdict delivered.
   if (scheduler_ != nullptr) scheduler_->pump();
 
+  // A live stream has a verdict to send only if a window completed since
+  // the last scan (the pump above returned after every drain finished, so
+  // the counter is current) or that scan stopped at a full batch.
+  const std::uint64_t windows = windows_completed_.value();
+  const bool scan_live = verdict_backlog_ || windows != windows_scanned_;
+  windows_scanned_ = windows;
+  verdict_backlog_ = false;
   for (auto& [fd, conn] : connections_) {
-    flush_verdicts(*conn);
+    flush_verdicts(*conn, scan_live);
     flush_writes(*conn);
     if (conn->closing && conn->out.readable() == 0) doomed_.push_back(fd);
   }
@@ -327,7 +336,14 @@ bool WireServer::on_frame(Connection& conn, const MessageView& msg) {
       (frame.width == arena_.width() && frame.height == arena_.height())
           ? arena_.acquire()
           : service::FrameJob{};
-  frame_pixels_to_images(frame, &job.transmitted, &job.received);
+  // A pair that arrived all 8-bit stays 8-bit through the detector; any
+  // f64 plane widens both into the images.
+  job.eight_bit = frame.plane_format == kPlaneFormatsU8;
+  if (job.eight_bit) {
+    frame_pixels_to_bytes(frame, &job.transmitted_u8, &job.received_u8);
+  } else {
+    frame_pixels_to_images(frame, &job.transmitted, &job.received);
+  }
   job.t_sec = static_cast<double>(frame.timestamp_us) * 1e-6;
   job.trace_id = frame.trace_id;
   job.enqueued_at = service::ServiceClock::now();
@@ -365,15 +381,19 @@ void WireServer::on_bye(Connection& conn, const MessageView& msg) {
   conn.closing = true;
 }
 
-void WireServer::flush_verdicts(Connection& conn) {
+void WireServer::flush_verdicts(Connection& conn, bool scan_live) {
   for (auto it = conn.streams.begin(); it != conn.streams.end();) {
     StreamState& stream = it->second;
+    if (!scan_live && !stream.closing) {
+      ++it;
+      continue;
+    }
     // Closing streams flush everything; live streams flush one batch per
     // cycle so a chatty session cannot starve the rest of the connection.
+    std::size_t copied = 0;
     do {
-      const std::size_t copied =
-          manager_.copy_verdicts(stream.session, stream.verdicts_sent,
-                                 verdict_buf_.data(), verdict_buf_.size());
+      copied = manager_.copy_verdicts(stream.session, stream.verdicts_sent,
+                                      verdict_buf_.data(), verdict_buf_.size());
       if (copied == 0) break;
       // One clock read per flushed batch times the push stage (verdict
       // completed in the drain -> encoded onto the socket).
@@ -399,6 +419,7 @@ void WireServer::flush_verdicts(Connection& conn) {
       stream.verdicts_sent += copied;
       verdicts_out_.add(copied);
     } while (stream.closing);
+    if (copied == verdict_buf_.size()) verdict_backlog_ = true;
 
     if (stream.closing) {
       // Watermark has caught up with every completed window; acknowledge

@@ -137,7 +137,9 @@ class WireServer {
   void on_bye(Connection& conn, const MessageView& msg);
   void on_heartbeat(Connection& conn, const MessageView& msg);
   void on_stats_request(Connection& conn, const MessageView& msg);
-  void flush_verdicts(Connection& conn);
+  /// Sends each stream's new verdicts; live streams are only looked at
+  /// when `scan_live` (closing ones always flush and get their Bye).
+  void flush_verdicts(Connection& conn, bool scan_live);
   void flush_writes(Connection& conn);
   void protocol_error(Connection& conn);
   void close_connection(int fd);
@@ -155,6 +157,10 @@ class WireServer {
   /// copy_verdicts staging, sized to verdict_flush_max at construction.
   std::vector<service::WindowVerdict> verdict_buf_;
   std::vector<int> doomed_;  ///< per-cycle close list (reused)
+  /// service.windows_completed when live streams were last scanned for
+  /// verdicts, and whether that scan left a full batch behind on a stream.
+  std::uint64_t windows_scanned_ = 0;
+  bool verdict_backlog_ = false;
 
   // Resolved once from the manager's registry. Steady-state frames bump
   // these and never touch the registry mutex (the no-lookup-per-frame test
@@ -166,6 +172,7 @@ class WireServer {
   obs::Counter& rejects_;
   obs::Counter& idle_closed_;
   obs::Counter& stats_served_;
+  obs::Counter& windows_completed_;  ///< the manager's, read once per cycle
   obs::LogHistogram& push_to_verdict_;
   obs::LogHistogram& poll_cycle_;
   obs::LogHistogram& stage_decode_;

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "core/streaming.hpp"
+#include "describe_result.hpp"
 #include "eval/dataset.hpp"
 #include "eval/population.hpp"
 #include "model/snapshot.hpp"
@@ -26,28 +27,10 @@
 namespace lumichat::core {
 namespace {
 
+using testutil::describe;
+
 constexpr double kWindowS = 15.0;
 constexpr std::size_t kWindows = 2;
-
-std::string describe(const DetectionResult& r) {
-  const auto quality = [](const SignalQuality& q) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%zu,%a,%a,%d", q.change_events,
-                  q.snr_proxy, q.window_completeness,
-                  static_cast<int>(q.all_finite));
-    return std::string(buf);
-  };
-  const FeatureDiagnostics& d = r.diagnostics;
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "v=%d atk=%d lof=%a z=%a,%a,%a,%a d=%a,%zu,%zu,%zu,%zu",
-                static_cast<int>(r.verdict), static_cast<int>(r.is_attacker),
-                r.lof_score, r.features.z1, r.features.z2, r.features.z3,
-                r.features.z4, d.estimated_delay_s, d.transmitted_changes,
-                d.received_changes, d.matched_transmitted, d.matched_received);
-  return std::string(buf) + " tq=" + quality(r.transmitted_quality) +
-         " rq=" + quality(r.received_quality);
-}
 
 struct Fixture {
   eval::SimulationProfile profile;  // 15 s clips: the training set

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../image/u8_frames.hpp"
+#include "describe_result.hpp"
 #include "common/rng.hpp"
 #include "model/snapshot.hpp"
 #include "eval/dataset.hpp"
@@ -276,6 +278,57 @@ TEST(Streaming, MatchesBatchDetectorOnSimulatedSession) {
         EXPECT_EQ(s.all_finite, b.all_finite) << where;
       }
     }
+  }
+}
+
+TEST(Streaming, EightBitPairsMatchWidenedPairsBitExactly) {
+  // Full simulated chats rounded to 8 bits, as a camera emits them and the
+  // wire's u8 planes carry them, pushed once as ImageU8 pairs and once
+  // widened to f64: every window's result is the same, bit for bit. The
+  // received side loses its first 4 s and a later run of frames, so the
+  // hold-last path (no frame, or no face) is covered too.
+  using image::testutil::to_u8;
+  using image::testutil::widen;
+  using testutil::describe;
+  eval::SimulationProfile profile;
+  const auto pop = eval::make_population(2);
+  const eval::DatasetBuilder train_data(profile);
+  const auto snapshot = model::fit_lof_model(
+      profile.detector_config(),
+      train_data.features(pop[1], eval::Role::kLegitimate, 8));
+  eval::SimulationProfile long_profile = profile;
+  long_profile.clip_duration_s = 2.0 * profile.clip_duration_s;
+  const eval::DatasetBuilder data(long_profile);
+
+  for (const chat::SessionTrace& trace :
+       {data.legit_trace(pop[0], 3), data.attacker_trace(pop[0], 3)}) {
+    StreamingConfig cfg;
+    cfg.detector = profile.detector_config();
+    cfg.detector.enable_abstain = true;
+    cfg.window_s = profile.clip_duration_s;
+    StreamingDetector narrow(cfg);
+    StreamingDetector wide(cfg);
+    for (StreamingDetector* sd : {&narrow, &wide}) {
+      sd->attach_model(snapshot);
+      sd->set_explanation_sink(nullptr);
+    }
+    std::size_t windows = 0;
+    for (std::size_t i = 0; i < trace.transmitted.size(); ++i) {
+      const double t = static_cast<double>(i) / profile.sample_rate_hz;
+      const bool lost = i < 40 || (i >= 200 && i < 212);
+      const image::ImageU8 tx = to_u8(trace.transmitted.frames[i]);
+      const image::ImageU8 rx =
+          lost ? image::ImageU8{} : to_u8(trace.received.frames[i]);
+      const auto a = narrow.push(t, tx, rx);
+      const auto b = wide.push(t, widen(tx), widen(rx));
+      ASSERT_EQ(a.has_value(), b.has_value()) << "frame " << i;
+      if (!a) continue;
+      ++windows;
+      EXPECT_EQ(describe(*a), describe(*b)) << "window " << windows;
+    }
+    EXPECT_EQ(windows, 2u);
+    EXPECT_EQ(narrow.running_verdict().is_attacker,
+              wide.running_verdict().is_attacker);
   }
 }
 

@@ -1,10 +1,18 @@
 #include "face/landmark_detector.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 
 #include <gtest/gtest.h>
 
+#include "../image/u8_frames.hpp"
+#include "common/rng.hpp"
 #include "face/renderer.hpp"
+#include "face/roi.hpp"
+#include "image/luminance.hpp"
 #include "optics/camera.hpp"
 
 namespace lumichat::face {
@@ -147,6 +155,120 @@ TEST(LandmarkDetector, DetectionJitterIsSubpixelScale) {
   for (double y : ys) var += (y - mean) * (y - mean);
   var /= static_cast<double>(ys.size());
   EXPECT_LT(std::sqrt(var), 1.0);
+}
+
+// --- 8-bit frames: the widened Image's landmarks, bit for bit ------------
+
+using image::testutil::random_u8;
+using image::testutil::to_u8;
+using image::testutil::widen;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Detects on `u8` and on its widened Image and asserts the same outcome:
+/// both nullopt, or every landmark coordinate with the same bits. Returns
+/// whether a face was found.
+bool expect_same_detection(const LandmarkDetector& det,
+                           const image::ImageU8& u8) {
+  const std::optional<Landmarks> a = det.detect(u8);
+  const std::optional<Landmarks> b = det.detect(widen(u8));
+  EXPECT_EQ(a.has_value(), b.has_value());
+  if (!a || !b) return false;
+  for (std::size_t i = 0; i < a->bridge.size(); ++i) {
+    EXPECT_EQ(bits(a->bridge[i].x), bits(b->bridge[i].x)) << "bridge " << i;
+    EXPECT_EQ(bits(a->bridge[i].y), bits(b->bridge[i].y)) << "bridge " << i;
+  }
+  for (std::size_t i = 0; i < a->tip.size(); ++i) {
+    EXPECT_EQ(bits(a->tip[i].x), bits(b->tip[i].x)) << "tip " << i;
+    EXPECT_EQ(bits(a->tip[i].y), bits(b->tip[i].y)) << "tip " << i;
+  }
+  return true;
+}
+
+TEST(LandmarkDetectorU8, RenderedFacesMatchWidenedFrame) {
+  const LandmarkDetector det;
+  optics::CameraSpec noisy;
+  noisy.read_noise_sigma = 2.0;
+  std::size_t found = 0;
+  for (std::size_t vol = 0; vol < 10; ++vol) {
+    FaceRenderer r(make_volunteer_face(vol));
+    optics::CameraModel cam(noisy, 40 + vol);
+    for (const double cx : {0.2, 0.5, 0.8}) {
+      FaceState s = centered();
+      s.cx = cx;
+      const image::ImageU8 u8 =
+          to_u8(cam.capture(r.render(s, lux(80), lux(50))));
+      if (expect_same_detection(det, u8)) {
+        ++found;
+        // The sampled value too: the nasal ROI mean of either form.
+        const image::RectF roi = nasal_roi_f(*det.detect(u8));
+        EXPECT_EQ(bits(image::roi_luminance(u8, roi)),
+                  bits(image::roi_luminance(widen(u8), roi)));
+      }
+    }
+  }
+  EXPECT_GE(found, 20u);  // not a vacuous pass over nullopt frames
+}
+
+TEST(LandmarkDetectorU8, NoFaceFramesMatchWidenedFrame) {
+  const LandmarkDetector det;
+  common::Rng rng(2504);
+  EXPECT_FALSE(det.detect(image::ImageU8{}).has_value());
+  EXPECT_FALSE(expect_same_detection(det, image::ImageU8(96, 72)));
+  // A skin patch smaller than min_mask_pixels, and a one-pixel-wide skin
+  // column (a half-axis under 2 px): both are rejected.
+  image::ImageU8 patch(96, 72);
+  image::ImageU8 column(96, 72);
+  for (std::size_t y = 0; y < 72; ++y) {
+    for (std::size_t x = 0; x < 96; ++x) {
+      const bool in_patch = x >= 40 && x < 45 && y >= 30 && y < 36;
+      for (image::ImageU8* f : {&patch, &column}) {
+        const bool skin = f == &patch ? in_patch : x == 50;
+        std::uint8_t* p = f->data() + 3 * (y * 96 + x);
+        p[0] = skin ? 200 : 60;
+        p[1] = skin ? 120 : 60;
+        p[2] = skin ? 90 : 60;
+      }
+    }
+  }
+  EXPECT_FALSE(expect_same_detection(det, patch));
+  EXPECT_FALSE(expect_same_detection(det, column));
+  // Uniform noise: about a tenth of the pixels pass the skin test.
+  for (int trial = 0; trial < 8; ++trial) {
+    (void)expect_same_detection(det, random_u8(96, 72, rng));
+  }
+}
+
+TEST(LandmarkDetectorU8, SkinTableMatchesDoubleTestForAnySpec) {
+  // Frames whose pixels run r over 0..255 against a spread of (g, b); with
+  // min_mask_pixels 1, one pixel classified differently moves the moments.
+  image::ImageU8 sweep(256, 64);
+  for (std::size_t y = 0; y < 64; ++y) {
+    for (std::size_t x = 0; x < 256; ++x) {
+      std::uint8_t* p = sweep.data() + 3 * (y * 256 + x);
+      p[0] = static_cast<std::uint8_t>(x);
+      p[1] = static_cast<std::uint8_t>((y * 53 + x / 16) % 256);
+      p[2] = static_cast<std::uint8_t>((y * 37 + 11) % 256);
+    }
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<DetectorSpec> specs(7);
+  specs[1].min_red = 17.5;
+  specs[1].min_rb_ratio = 1.0 / 3.0;
+  specs[1].min_rg_ratio = 0.7;
+  specs[2].min_red = -1.0;
+  specs[2].min_rb_ratio = 0.0;
+  specs[2].min_rg_ratio = -0.5;
+  specs[3].min_red = 200.0;
+  specs[4].min_red = 255.5;  // nothing passes
+  specs[5].min_rb_ratio = nan;
+  specs[6].min_rg_ratio = 1.0 + std::numeric_limits<double>::epsilon();
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    specs[k].min_mask_pixels = 1;
+    SCOPED_TRACE(::testing::Message() << "spec " << k);
+    const bool found = expect_same_detection(LandmarkDetector(specs[k]), sweep);
+    EXPECT_EQ(found, k != 4 && k != 5);
+  }
 }
 
 }  // namespace

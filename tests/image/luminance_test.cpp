@@ -1,6 +1,14 @@
 #include "image/luminance.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.hpp"
+#include "u8_frames.hpp"
 
 namespace lumichat::image {
 namespace {
@@ -79,6 +87,81 @@ TEST(RoiLuminanceSubpixel, OutsideFrameIsZero) {
   EXPECT_DOUBLE_EQ(roi_luminance(img, RectF{-3.0, 0.0, 2.0, 1.0}), 0.0);
   // Partially overlapping region averages only the covered pixels.
   EXPECT_DOUBLE_EQ(roi_luminance(img, RectF{-1.0, 0.0, 2.0, 1.0}), 1.0);
+}
+
+// --- 8-bit frames: the widened Image's bits ------------------------------
+
+using testutil::random_u8;
+using testutil::widen;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(FrameLuminanceU8, MatchesWidenedFrameBitForBit) {
+  common::Rng rng(2501);
+  // Sizes below, at and past one 16-pixel block, with and without a tail.
+  const std::size_t sizes[][2] = {{1, 1},  {2, 3},   {5, 3},  {16, 1},
+                                  {17, 3}, {31, 7},  {96, 72}, {33, 65}};
+  for (const auto& wh : sizes) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const ImageU8 u8 = random_u8(wh[0], wh[1], rng);
+      EXPECT_EQ(bits(frame_luminance(u8)), bits(frame_luminance(widen(u8))))
+          << wh[0] << "x" << wh[1] << " trial " << trial;
+    }
+  }
+  ImageU8 white(96, 72);
+  for (std::size_t i = 0; i < white.size_bytes(); ++i) white.data()[i] = 255;
+  EXPECT_EQ(bits(frame_luminance(white)), bits(frame_luminance(widen(white))));
+  EXPECT_EQ(bits(frame_luminance(ImageU8(96, 72))), bits(0.0));
+  EXPECT_EQ(bits(frame_luminance(ImageU8{})), bits(frame_luminance(Image{})));
+}
+
+TEST(RoiLuminanceU8, MatchesWidenedFrameBitForBit) {
+  common::Rng rng(2502);
+  const ImageU8 u8 = random_u8(96, 72, rng);
+  const Image f64 = widen(u8);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<RectF> rois = {
+      {10.0, 20.0, 6.0, 4.0},      // whole pixels
+      {10.25, 20.5, 6.5, 4.75},    // sub-pixel edges
+      {40.3, 30.6, 0.2, 0.3},      // inside one pixel
+      {40.7, 30.6, 0.6, 0.9},      // straddling two columns, narrower than 1
+      {-3.5, -2.25, 8.0, 6.0},     // partly outside, top-left
+      {92.5, 69.25, 10.0, 10.0},   // partly outside, bottom-right
+      {-1.0, 10.0, 98.0, 1.5},     // wider than the frame
+      {0.0, 0.0, 96.0, 72.0},      // the whole frame
+      {100.0, 10.0, 5.0, 5.0},     // wholly outside, right
+      {-10.0, 10.0, 5.0, 5.0},     // wholly outside, left
+      {10.0, -9.0, 5.0, 4.0},      // wholly outside, above
+      {10.0, 20.0, 0.0, 4.0},      // zero width
+      {10.0, 20.0, 4.0, 0.0},      // zero height
+      {10.0, 20.0, -2.0, 4.0},     // negative width
+      {10.0, 20.0, inf, 3.0},      // unbounded to the right
+  };
+  for (int i = 0; i < 200; ++i) {
+    rois.push_back(RectF{rng.uniform(-8.0, 100.0), rng.uniform(-8.0, 76.0),
+                         rng.uniform(0.0, 3.0) * rng.uniform(0.0, 10.0),
+                         rng.uniform(0.0, 3.0) * rng.uniform(0.0, 10.0)});
+  }
+  for (const RectF& roi : rois) {
+    EXPECT_EQ(bits(roi_luminance(u8, roi)), bits(roi_luminance(f64, roi)))
+        << "roi " << roi.x << "," << roi.y << " " << roi.width << "x"
+        << roi.height;
+  }
+}
+
+TEST(RoiLuminanceU8, RowsWiderThanTheStackBufferMatch) {
+  // ROI rows wider than the largest frame edge widen on the heap instead
+  // of the stack; the last ROI fits the stack buffer exactly.
+  const std::size_t w = kMaxFrameEdge + 88;
+  const double wd = static_cast<double>(w);
+  common::Rng rng(2503);
+  const ImageU8 u8 = random_u8(w, 3, rng);
+  const Image f64 = widen(u8);
+  for (const RectF& roi :
+       {RectF{0.0, 0.0, wd, 3.0}, RectF{0.5, 0.25, wd - 1.0, 2.5},
+        RectF{2.0, 1.0, static_cast<double>(kMaxFrameEdge), 1.0}}) {
+    EXPECT_EQ(bits(roi_luminance(u8, roi)), bits(roi_luminance(f64, roi)));
+  }
 }
 
 }  // namespace

@@ -123,7 +123,26 @@ namespace {
 using service::testutil::test_streaming_config;
 using service::testutil::trained_registry;
 
-TEST(WireAllocGate, SteadyStateFramesAllocateNothing) {
+// Warm-up: one complete window (test config: 10 Hz x 2 s = 20 frames) plus
+// a few frames into the next. Measured: intra-window frames 25..34 (window 1
+// completes at frame 39, far past the measurement).
+constexpr std::uint32_t kWarmFrames = 25;
+constexpr std::uint32_t kMeasuredFrames = 10;
+
+struct GateResult {
+  std::uint64_t allocs = 0;
+  std::uint64_t frees = 0;
+  std::uint64_t warm_frames_in = 0;  ///< wire.frames_in after the warm-up
+  std::uint64_t frames_in = 0;
+  std::uint64_t recycled = 0;
+  std::size_t bytes_per_frame = 0;  ///< one measured frame's wire size
+};
+
+/// Streams constant `tx`/`rx` frames over a socketpair and counts the heap
+/// traffic of the measured intra-window frames into `result`. Setup
+/// failures are fatal; call through ASSERT_NO_FATAL_FAILURE.
+void run_gate(const image::Image& tx, const image::Image& rx,
+              GateResult* result) {
   service::ServiceConfig service_cfg;
   service_cfg.n_shards = 2;
   service_cfg.max_sessions = 4;
@@ -148,12 +167,11 @@ TEST(WireAllocGate, SteadyStateFramesAllocateNothing) {
   ASSERT_TRUE(server.adopt(sv[0]));
   WireClient client(sv[1]);
 
-  const image::Image tx(8, 8, image::Pixel{130.0, 110.0, 95.0});
-  const image::Image rx(8, 8, image::Pixel{140.0, 100.0, 80.0});
-
   auto pump_one_frame = [&](std::uint32_t seq) {
+    const std::size_t before = client.pending_out();
     client.send_frame(/*token=*/5, /*stream_id=*/1, seq,
                       static_cast<std::uint64_t>(seq) * 100000, tx, rx);
+    result->bytes_per_frame = client.pending_out() - before;
     client.flush();
     (void)server.poll(0);
     client.poll();
@@ -167,19 +185,15 @@ TEST(WireAllocGate, SteadyStateFramesAllocateNothing) {
   ASSERT_EQ(client.take_acks(&ack, 1), 1u);
   ASSERT_EQ(ack.ack.status, static_cast<std::uint32_t>(HelloStatus::kAccepted));
 
-  // Warm-up: one complete window (test config: 10 Hz x 2 s = 20 frames)
-  // plus a few frames into the next, driven exactly like the measured loop
-  // so every buffer reaches the same plateau it will hold under load.
-  const std::uint32_t kWarmFrames = 25;
+  // The warm-up is driven exactly like the measured loop so every buffer
+  // reaches the same plateau it will hold under load.
   for (std::uint32_t seq = 0; seq < kWarmFrames; ++seq) pump_one_frame(seq);
   VerdictEvent verdict;
   ASSERT_EQ(client.take_verdicts(&verdict, 1), 1u);  // window 0 completed
-  ASSERT_EQ(registry.counter("wire.frames_in").value(), kWarmFrames);
+  result->warm_frames_in = registry.counter("wire.frames_in").value();
 
-  // Measured region: intra-window frames 25..34 (window 1 completes at
-  // frame 39, far past the measurement). No gtest macros inside — the
-  // assertion machinery itself allocates.
-  const std::uint32_t kMeasuredFrames = 10;
+  // Measured region. No gtest macros inside — the assertion machinery
+  // itself allocates.
   g_allocs.store(0, std::memory_order_relaxed);
   g_frees.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_release);
@@ -188,17 +202,44 @@ TEST(WireAllocGate, SteadyStateFramesAllocateNothing) {
     pump_one_frame(seq);
   }
   g_counting.store(false, std::memory_order_release);
+  result->allocs = g_allocs.load(std::memory_order_relaxed);
+  result->frees = g_frees.load(std::memory_order_relaxed);
+  result->frames_in = registry.counter("wire.frames_in").value();
+  result->recycled = server.arena().stats().recycled_total;
+}
 
-  // The measured frames really went through the full path...
-  EXPECT_EQ(registry.counter("wire.frames_in").value(),
-            kWarmFrames + kMeasuredFrames);
-  EXPECT_EQ(server.arena().stats().recycled_total,
-            kWarmFrames + kMeasuredFrames);
-  // ...and none of them touched the heap.
-  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
+/// The gate's verdict on one run: every warm-up frame was ingested before
+/// the measurement began, the measured frames really went through the full
+/// path, and none of them touched the heap.
+void expect_allocation_free(const GateResult& r) {
+  EXPECT_EQ(r.warm_frames_in, kWarmFrames);
+  EXPECT_EQ(r.frames_in, kWarmFrames + kMeasuredFrames);
+  EXPECT_EQ(r.recycled, kWarmFrames + kMeasuredFrames);
+  EXPECT_EQ(r.allocs, 0u)
       << "steady-state frame path performed heap allocations";
-  EXPECT_EQ(g_frees.load(std::memory_order_relaxed), 0u)
-      << "steady-state frame path performed heap frees";
+  EXPECT_EQ(r.frees, 0u) << "steady-state frame path performed heap frees";
+}
+
+TEST(WireAllocGate, SteadyStateFramesAllocateNothing) {
+  // Fractional channels: both planes travel as f64 and widen into the
+  // pooled job's images.
+  const image::Image tx(8, 8, image::Pixel{130.5, 110.25, 95.0});
+  const image::Image rx(8, 8, image::Pixel{140.0, 100.75, 80.5});
+  GateResult r;
+  ASSERT_NO_FATAL_FAILURE(run_gate(tx, rx, &r));
+  EXPECT_EQ(r.bytes_per_frame, frame_wire_size(8, 8));
+  expect_allocation_free(r);
+}
+
+TEST(WireAllocGate, SteadyStateEightBitFramesAllocateNothing) {
+  // Integral channels in [0, 255]: both planes travel as u8 and stay u8
+  // through the pooled job's byte planes and the detector.
+  const image::Image tx(8, 8, image::Pixel{130.0, 110.0, 95.0});
+  const image::Image rx(8, 8, image::Pixel{140.0, 100.0, 80.0});
+  GateResult r;
+  ASSERT_NO_FATAL_FAILURE(run_gate(tx, rx, &r));
+  EXPECT_EQ(r.bytes_per_frame, frame_wire_size(8, 8, kPlaneFormatsU8));
+  expect_allocation_free(r);
 }
 
 }  // namespace

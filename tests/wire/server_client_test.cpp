@@ -2,7 +2,9 @@
 // handshake and admission, stream multiplexing, heartbeats, orderly and
 // error teardown, idle sweeping — the connection state machine the socket
 // bench relies on.
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -16,15 +18,18 @@
 
 #include <gtest/gtest.h>
 
+#include "chat/frame_source.hpp"
 #include "image/image.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "service/load_generator.hpp"
 #include "service/scheduler.hpp"
 #include "service/session_manager.hpp"
 #include "wire/client.hpp"
 #include "wire/crc32.hpp"
 #include "wire/server.hpp"
 
+#include "../image/u8_frames.hpp"
 #include "../service/service_test_util.hpp"
 
 namespace lumichat::wire {
@@ -449,6 +454,111 @@ TEST(WireServerClient, ProtocolErrorTriggersFlightRecorderAutoDump) {
   std::fclose(f);
   EXPECT_NE(std::string(line).find("protocol_error"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(WireServerClient, WindowsClosingInOneCycleReachEveryConnectionInOrder) {
+  // One verdict per stream per cycle: the cycles after the one that closed
+  // every window see no new window, so only the left-over batch makes them
+  // scan the streams again.
+  WireServerConfig cfg = small_server_config();
+  cfg.verdict_flush_max = 1;
+  Rig rig(small_service_config(), cfg);
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_TRUE(rig.server.adopt(sv[0]));
+  WireClient second(sv[1]);
+  WireClient* clients[2] = {rig.client.get(), &second};
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    clients[c]->hello(10 + c, 1, 8, 8);
+    clients[c]->flush();
+  }
+  rig.converse();
+  for (WireClient* client : clients) {
+    client->poll();
+    EXPECT_EQ(expect_one_ack(*client).ack.status,
+              static_cast<std::uint32_t>(HelloStatus::kAccepted));
+  }
+
+  // Three 20-frame windows per connection, all read in one cycle.
+  const image::Image tx(8, 8, image::Pixel{120.0, 120.0, 120.0});
+  const image::Image rx(8, 8, image::Pixel{90.0, 90.0, 90.0});
+  for (std::uint32_t k = 0; k < 60; ++k) {
+    for (std::uint32_t c = 0; c < 2; ++c) {
+      clients[c]->send_frame(10 + c, 1, k,
+                             static_cast<std::uint64_t>(k) * 100000, tx, rx);
+    }
+  }
+  for (WireClient* client : clients) client->flush();
+  EXPECT_EQ(rig.server.poll(0), 120u);
+  EXPECT_EQ(rig.registry.counter("service.windows_completed").value(), 6u);
+  EXPECT_EQ(rig.registry.counter("wire.verdicts_out").value(), 2u);
+
+  for (int cycle = 0; cycle < 6; ++cycle) (void)rig.server.poll(0);
+  EXPECT_EQ(rig.registry.counter("wire.verdicts_out").value(), 6u);
+  for (WireClient* client : clients) {
+    client->poll();
+    VerdictEvent verdicts[4];
+    ASSERT_EQ(client->take_verdicts(verdicts, 4), 3u);
+    for (std::uint32_t w = 0; w < 3; ++w) {
+      EXPECT_EQ(verdicts[w].stream_id, 1u);
+      EXPECT_EQ(verdicts[w].verdict.window_index, w);
+    }
+  }
+}
+
+TEST(WireServerClient, MixedPlaneFramesWidenWithInProcessVerdicts) {
+  // A Frame with one u8 and one f64 plane takes the widening path; its
+  // verdicts and LOF bits equal feeding the same images in process.
+  service::LoadSpec spec;
+  spec.n_sessions = 1;
+  spec.duration_s = 4.0;
+  spec.full_chat = false;
+  spec.master_seed = 404;
+  const auto source = service::make_chat_source(spec, 0, /*attacker=*/false);
+  std::vector<chat::FramePair> chat;
+  for (std::size_t k = 0; k < 40; ++k) chat.push_back(source->next());
+  const auto rounded = [](const image::Image& img) {
+    return image::testutil::widen(image::testutil::to_u8(img));
+  };
+
+  for (const std::uint32_t format : {kTransmittedPlaneU8, kReceivedPlaneU8}) {
+    SCOPED_TRACE(::testing::Message() << "plane_format " << format);
+    Rig rig;
+    rig.client->hello(3, 1, 8, 8);
+    rig.converse();
+    ASSERT_EQ(expect_one_ack(*rig.client).ack.status,
+              static_cast<std::uint32_t>(HelloStatus::kAccepted));
+    service::SessionManager ref(small_service_config(),
+                                test_streaming_config(), trained_registry());
+    const service::SessionId id = ref.create().value();
+
+    for (std::uint32_t k = 0; k < chat.size(); ++k) {
+      const bool tx_u8 = format == kTransmittedPlaneU8;
+      const image::Image tx = tx_u8 ? rounded(chat[k].transmitted)
+                                    : chat[k].transmitted;
+      const image::Image rx = tx_u8 ? chat[k].received
+                                    : rounded(chat[k].received);
+      const auto us = static_cast<std::uint64_t>(
+          std::llround(chat[k].t_sec * 1e6));
+      const std::size_t before = rig.client->pending_out();
+      rig.client->send_frame(3, 1, k, us, tx, rx);
+      ASSERT_EQ(rig.client->pending_out() - before,
+                frame_wire_size(8, 8, format));
+      ASSERT_TRUE(ref.feed(id, static_cast<double>(us) * 1e-6, tx, rx));
+    }
+    rig.converse(8);
+
+    const std::vector<service::WindowVerdict> expected = ref.verdicts(id);
+    ASSERT_EQ(expected.size(), 2u);
+    VerdictEvent got[4];
+    ASSERT_EQ(rig.client->take_verdicts(got, 4), expected.size());
+    for (std::size_t w = 0; w < expected.size(); ++w) {
+      EXPECT_EQ(got[w].verdict.verdict,
+                static_cast<std::uint8_t>(expected[w].verdict));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[w].verdict.lof_score),
+                std::bit_cast<std::uint64_t>(expected[w].lof_score));
+    }
+  }
 }
 
 }  // namespace
