@@ -270,24 +270,23 @@ void BM_ChatTick(benchmark::State& state) {
 BENCHMARK(BM_ChatTick)->Unit(benchmark::kMicrosecond);
 
 /// One 96x72 frame pair across the wire format: encode_frame, then
-/// decode_message + parse_frame + frame_pixels_to_images into reused images
-/// (the server's pooled-job path). `eight_bit` rounds the render fixtures'
-/// frames to integers, so both planes travel as u8; otherwise they are f64.
-void BM_WireFrameRoundTrip96x72(benchmark::State& state, bool eight_bit) {
+/// decode_message + parse_frame + frame_pixels_to_bytes into reused planes
+/// (the server's pooled-job path). The render fixtures' frames are rounded
+/// to 8 bits first, as the load generator ships them.
+void BM_WireFrameRoundTrip96x72(benchmark::State& state) {
   const RenderFixtures& f = render_fixtures();
   image::Image tx = f.frames[0];
   image::Image rx = f.frames[1];
-  if (eight_bit) {
-    for (image::Image* img : {&tx, &rx}) {
-      for (std::size_t i = 0; i < img->pixels().size(); ++i) {
-        image::Pixel& p = img->data()[i];
-        p = {std::round(p.r), std::round(p.g), std::round(p.b)};
-      }
+  for (image::Image* img : {&tx, &rx}) {
+    auto* v = reinterpret_cast<double*>(img->data());
+    for (std::size_t i = 0; i < img->pixels().size() * 3; ++i) {
+      v[i] = static_cast<double>(
+          static_cast<std::uint8_t>(std::clamp(v[i], 0.0, 255.0) + 0.5));
     }
   }
   std::vector<std::uint8_t> buf(wire::frame_wire_size(96, 72));
-  image::Image tx2(96, 72);
-  image::Image rx2(96, 72);
+  image::ImageU8 tx2(96, 72);
+  image::ImageU8 rx2(96, 72);
   std::size_t n = 0;
   for (auto _ : state) {
     n = wire::encode_frame(buf.data(), buf.size(), 1, 1, 0, 0, tx, rx);
@@ -298,16 +297,15 @@ void BM_WireFrameRoundTrip96x72(benchmark::State& state, bool eight_bit) {
       state.SkipWithError("frame did not round-trip");
       return;
     }
-    wire::frame_pixels_to_images(frame, &tx2, &rx2);
+    wire::frame_pixels_to_bytes(frame, &tx2, &rx2);
     benchmark::DoNotOptimize(tx2.data());
     benchmark::DoNotOptimize(rx2.data());
     benchmark::ClobberMemory();
   }
   state.counters["wire_bytes"] = static_cast<double>(n);
 }
-BENCHMARK_CAPTURE(BM_WireFrameRoundTrip96x72, f64, false)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_WireFrameRoundTrip96x72, u8, true)
+BENCHMARK(BM_WireFrameRoundTrip96x72)
+    ->Name("BM_WireFrameRoundTrip96x72/u8")
     ->Unit(benchmark::kMicrosecond);
 
 // --- SIMD kernel before/after ----------------------------------------------
@@ -336,8 +334,8 @@ struct SimdData {
   std::vector<double> rgb;
   std::vector<double> soa[4];
   double q[4];
-  // One full-size wire Frame message: 24-byte header + two 96x72 f64 RGB
-  // planes + fixed fields, the span the server checksums per frame.
+  // One full-size wire Frame message: 24-byte header + fixed fields + two
+  // 96x72 8-bit RGB planes, the span the server checksums per frame.
   std::vector<std::uint8_t> frame_msg;
   // Chat-simulator inputs at frame size: a seeded engine and room for the
   // 20,736 words it yields per frame, 20,736 engine words (10,368 polar
@@ -393,7 +391,7 @@ struct SimdData {
       for (double& v : axis) v = next();
     }
     for (double& v : q) v = next();
-    frame_msg.resize(331832);
+    frame_msg.resize(wire::frame_wire_size(96, 72));
     for (auto& b : frame_msg) b = static_cast<std::uint8_t>(256.0 * next());
     words.resize(kFrameValues);
     for (auto& w : words) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -11,6 +12,50 @@
 #include "face/face_model.hpp"
 
 namespace lumichat::service {
+namespace {
+
+/// Rounds a channel to 8 bits as a camera stores it: clamp to [0, 255],
+/// then round half up (the formula paperbench's corpus uses).
+double to_byte_value(double v) {
+  return static_cast<double>(
+      static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5));
+}
+
+void round_to_bytes(image::Image& frame) {
+  image::Pixel* px = frame.data();
+  for (std::size_t i = 0; i < frame.pixels().size(); ++i) {
+    px[i] = image::Pixel{to_byte_value(px[i].r), to_byte_value(px[i].g),
+                         to_byte_value(px[i].b)};
+  }
+}
+
+class EightBitCall final : public reenact::CallSource {
+ public:
+  explicit EightBitCall(std::unique_ptr<reenact::CallSource> call)
+      : call_(std::move(call)) {}
+
+  chat::FramePair next() override {
+    chat::FramePair pair = call_->next();
+    round_to_bytes(pair.transmitted);
+    round_to_bytes(pair.received);
+    return pair;
+  }
+  void set_actor(reenact::PeerRole role) override { call_->set_actor(role); }
+  void apply_faults(const faults::FaultConfig& config,
+                    std::uint64_t phase) override {
+    call_->apply_faults(config, phase);
+  }
+
+ private:
+  std::unique_ptr<reenact::CallSource> call_;
+};
+
+}  // namespace
+
+std::unique_ptr<reenact::CallSource> make_eight_bit_call(
+    std::unique_ptr<reenact::CallSource> call) {
+  return std::make_unique<EightBitCall>(std::move(call));
+}
 
 std::unique_ptr<reenact::CallSource> make_chat_source(const LoadSpec& spec,
                                                       std::size_t ordinal,
@@ -22,10 +67,10 @@ std::unique_ptr<reenact::CallSource> make_chat_source(const LoadSpec& spec,
   recipe.session.warmup_s = spec.warmup_s;
   recipe.session.faults = spec.faults;
   recipe.victim = face::make_volunteer_face(ordinal % 10);
-  return reenact::make_call(
+  return make_eight_bit_call(reenact::make_call(
       recipe, common::derive_seed(spec.master_seed, ordinal),
       attacker ? reenact::PeerRole::kAttacker : reenact::PeerRole::kLegitimate,
-      spec.full_chat);
+      spec.full_chat));
 }
 
 bool load_session_is_attacker(const LoadSpec& spec, std::size_t ordinal) {

@@ -90,11 +90,19 @@ struct LoadReport {
 [[nodiscard]] bool load_session_is_attacker(const LoadSpec& spec,
                                             std::size_t ordinal);
 
+/// Wraps `call` so that every frame pair it returns is 8-bit video: each
+/// channel is clamped to [0, 255] and rounded half up, in place.
+/// set_actor() and apply_faults() pass through to `call`.
+[[nodiscard]] std::unique_ptr<reenact::CallSource> make_eight_bit_call(
+    std::unique_ptr<reenact::CallSource> call);
+
 /// Builds simulated chat `ordinal`'s frame source — the "client side" of
 /// one chat and the exact producer run_load drives internally (full chat or
 /// synthetic per spec.full_chat, a pure function of (spec, ordinal,
-/// attacker)). Exposed so alternative front-ends — the wire-fed socket
-/// bench — can feed bit-identical streams through a different transport.
+/// attacker)). Its frames are 8-bit video (make_eight_bit_call), as a
+/// camera sends them, so they cross the wire at one byte per channel.
+/// Exposed so alternative front-ends — the wire-fed socket bench — can feed
+/// bit-identical streams through a different transport.
 [[nodiscard]] std::unique_ptr<reenact::CallSource> make_chat_source(
     const LoadSpec& spec, std::size_t ordinal, bool attacker);
 

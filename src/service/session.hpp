@@ -67,15 +67,17 @@ struct ServiceInstruments {
 };
 
 /// One queued frame pair awaiting detection, in one of two forms: the f64
-/// images, or (when `eight_bit` is set) the 8-bit planes the wire delivered
-/// them as. Both give the same verdicts; the 8-bit form is never widened.
+/// images an in-process caller feeds, or (when `eight_bit` is set) the
+/// 8-bit planes every wire frame arrives as. Both give the same verdicts;
+/// the 8-bit form is never widened.
 struct FrameJob {
   double t_sec = 0.0;
   image::Image transmitted;
   image::Image received;
   image::ImageU8 transmitted_u8;
   image::ImageU8 received_u8;
-  /// The pair is in the *_u8 planes; the images are unused storage.
+  /// The pair is in the *_u8 planes; the images are unused (and, in a wire
+  /// job, empty).
   bool eight_bit = false;
   ServiceClock::time_point enqueued_at{};
   /// Wire-propagated trace/frame id (0 when the peer sent none); carried

@@ -16,8 +16,6 @@ FrameArena::FrameArena(std::size_t width, std::size_t height,
 
 service::FrameJob FrameArena::make_job() const {
   service::FrameJob job;
-  job.transmitted = image::Image(width_, height_);
-  job.received = image::Image(width_, height_);
   job.transmitted_u8 = image::ImageU8(width_, height_);
   job.received_u8 = image::ImageU8(width_, height_);
   return job;
@@ -46,8 +44,7 @@ void FrameArena::recycle(service::FrameJob&& job) noexcept {
   const auto fits = [this](const auto& plane) {
     return plane.width() == width_ && plane.height() == height_;
   };
-  if (!fits(job.transmitted) || !fits(job.received) ||
-      !fits(job.transmitted_u8) || !fits(job.received_u8)) {
+  if (!fits(job.transmitted_u8) || !fits(job.received_u8)) {
     return;  // foreign geometry — let it die rather than poison the pool
   }
   const std::lock_guard<std::mutex> lock(mu_);

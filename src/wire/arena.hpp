@@ -4,7 +4,7 @@
 // this arena; after the detector has consumed the job, ServiceSession calls
 // release_frame_job() which routes the storage back here through the
 // FrameRecycler interface. Once the pool has warmed up to the peak number
-// of in-flight frames, the same buffers (f64 images and 8-bit planes) cycle
+// of in-flight frames, the same two 8-bit planes per job cycle
 //
 //     acquire -> decode-into -> queue -> detector -> recycle -> acquire ...
 //
@@ -36,9 +36,10 @@ class FrameArena final : public service::FrameRecycler {
   FrameArena(const FrameArena&) = delete;
   FrameArena& operator=(const FrameArena&) = delete;
 
-  /// A job with both images and both 8-bit planes sized to the pool
-  /// geometry and recycler set to this arena. Pops the freelist when possible; allocates a new job only
-  /// when every pooled job is in flight (pool growth, not steady state).
+  /// A job with both 8-bit planes sized to the pool geometry and recycler
+  /// set to this arena. Its f64 images stay empty: wire frames are 8-bit.
+  /// Pops the freelist when possible; allocates a new job only when every
+  /// pooled job is in flight (pool growth, not steady state).
   [[nodiscard]] service::FrameJob acquire();
 
   /// FrameRecycler: returns a job's storage to the freelist. Safe from any

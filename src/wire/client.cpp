@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <stdexcept>
 
 #include <fcntl.h>
 #include <sys/socket.h>
@@ -30,10 +31,11 @@ WireClient::~WireClient() {
 }
 
 template <typename EncodeFn>
-void WireClient::queue(std::size_t wire_size, EncodeFn&& encode) {
+std::size_t WireClient::queue(std::size_t wire_size, EncodeFn&& encode) {
   out_.ensure_writable(wire_size);
   const std::size_t n = encode(out_.write_ptr(), wire_size);
   out_.commit(n);
+  return n;
 }
 
 void WireClient::hello(std::uint64_t token, std::uint32_t stream_id,
@@ -55,12 +57,24 @@ void WireClient::send_frame(std::uint64_t token, std::uint32_t stream_id,
                             const image::Image& transmitted,
                             const image::Image& received,
                             std::uint64_t trace_id) {
-  // Reserves the f64 maximum; an 8-bit frame commits only its u8 size.
-  queue(frame_wire_size(transmitted.width(), transmitted.height()),
-        [&](std::uint8_t* buf, std::size_t cap) {
-          return encode_frame(buf, cap, token, stream_id, frame_seq,
-                              timestamp_us, transmitted, received, trace_id);
-        });
+  const std::size_t w = transmitted.width();
+  const std::size_t h = transmitted.height();
+  if (received.width() != w || received.height() != h || w == 0 || h == 0 ||
+      w > kMaxFrameEdge || h > kMaxFrameEdge) {
+    throw std::invalid_argument(
+        "WireClient::send_frame: the planes must be equally sized, non-empty "
+        "and at most kMaxFrameEdge on a side");
+  }
+  // A pair with a non-byte channel commits nothing: the outgoing buffer is
+  // left as it was.
+  if (queue(frame_wire_size(w, h), [&](std::uint8_t* buf, std::size_t cap) {
+        return encode_frame(buf, cap, token, stream_id, frame_seq,
+                            timestamp_us, transmitted, received, trace_id);
+      }) == 0) {
+    throw std::invalid_argument(
+        "WireClient::send_frame: every channel must be an integer in "
+        "[0, 255] (8-bit video)");
+  }
 }
 
 void WireClient::heartbeat(std::uint64_t token, std::uint32_t stream_id,

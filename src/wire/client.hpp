@@ -71,6 +71,10 @@ class WireClient {
   void hello(std::uint64_t token, std::uint32_t stream_id,
              std::uint32_t frame_width, std::uint32_t frame_height,
              std::uint64_t nonce = 0);
+  /// Queues one frame pair at one byte per channel. Throws
+  /// std::invalid_argument, queuing nothing, when the planes differ in size,
+  /// are empty or exceed kMaxFrameEdge, or hold a channel that is not an
+  /// integer in [0, 255].
   void send_frame(std::uint64_t token, std::uint32_t stream_id,
                   std::uint32_t frame_seq, std::uint64_t timestamp_us,
                   const image::Image& transmitted,
@@ -118,9 +122,10 @@ class WireClient {
   [[nodiscard]] int fd() const { return fd_; }
 
  private:
-  /// Reserves `n` writable bytes in out_ and commits an encode of that size.
+  /// Reserves `wire_size` writable bytes in out_ and commits what `encode`
+  /// wrote there, returning that count (0 when it refused).
   template <typename EncodeFn>
-  void queue(std::size_t wire_size, EncodeFn&& encode);
+  std::size_t queue(std::size_t wire_size, EncodeFn&& encode);
 
   /// Client steady clock in microseconds (the heartbeat_ping timestamp).
   [[nodiscard]] static std::uint64_t now_us();

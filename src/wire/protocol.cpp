@@ -1,6 +1,5 @@
 #include "wire/protocol.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -9,10 +8,9 @@
 namespace lumichat::wire {
 namespace {
 
-// An f64 frame plane is memcpy'd between the wire and image::Pixel storage,
-// and a u8 plane is narrowed from and widened into that storage read as a
-// flat array of doubles; both are only valid while a Pixel is exactly three
-// packed doubles.
+// A frame plane is narrowed from image::Pixel storage read as a flat array
+// of doubles, which is only valid while a Pixel is exactly three packed
+// doubles.
 static_assert(sizeof(image::Pixel) == 3 * sizeof(double),
               "wire frame payload assumes packed {r,g,b} doubles");
 
@@ -90,14 +88,15 @@ bool expect(const MessageView& view, MsgType type, std::size_t payload_len) {
   return view.header.type == type && view.payload_len == payload_len;
 }
 
-/// Channels per block of the u8 plane loops (16 pixels). Full blocks go
+/// Channels per block of the plane loop (16 pixels). Full blocks go
 /// through a local buffer: a fixed trip count and a buffer that cannot alias
 /// the image let the compiler vectorize them at -O2 as well.
 constexpr std::size_t kPlaneBlock = 48;
 
 /// Writes channels v[0, n) as one byte each into out[0, n) and returns a
-/// word that is zero exactly when every channel widens back from its byte
-/// to the identical IEEE bits: finite, integral, in [0, 255] and not -0.0.
+/// word that is zero exactly when every channel is an exact byte value: its
+/// byte widens back to the identical IEEE bits, so it is finite, integral,
+/// in [0, 255] and not -0.0.
 ///
 /// The test is branch-free so the loop vectorizes: adding 2^52 rounds x to
 /// an integer whose value lands in the low mantissa bits, so
@@ -127,7 +126,7 @@ std::uint64_t narrow_channels(const double* v, std::size_t n,
 /// true when narrow_channels finds every channel exact. Returns false
 /// (leaving `out` partly written) at the first block holding any other
 /// value, so a frame that is not 8-bit stops within its first pixels.
-bool narrow_plane(const image::Image& img, std::uint8_t* out) {
+bool put_plane(const image::Image& img, std::uint8_t* out) {
   const auto* v = reinterpret_cast<const double*>(img.data());
   const std::size_t n = img.pixels().size() * 3;
   std::size_t i = 0;
@@ -137,43 +136,6 @@ bool narrow_plane(const image::Image& img, std::uint8_t* out) {
     std::memcpy(out + i, bytes, kPlaneBlock);
   }
   return narrow_channels(v + i, n - i, out + i) == 0;
-}
-
-/// Writes one plane at `p` (which has `room` bytes), as u8 when exact and
-/// f64 otherwise, setting `u8_bit` in *format for a u8 plane. Returns the
-/// bytes written, or 0 when the plane does not fit.
-std::size_t put_plane(const image::Image& img, std::uint8_t* p,
-                      std::size_t room, std::uint32_t u8_bit,
-                      std::uint32_t* format) {
-  const std::size_t channels = img.pixels().size() * 3;
-  if (room < channels) return 0;
-  if (narrow_plane(img, p)) {
-    *format |= u8_bit;
-    return channels;
-  }
-  const std::size_t bytes = channels * sizeof(double);
-  if (room < bytes) return 0;
-  std::memcpy(p, img.data(), bytes);
-  return bytes;
-}
-
-/// Fills `img` (already w x h) from one plane at `p`, widening a u8 plane;
-/// returns the bytes read.
-std::size_t get_plane(const std::uint8_t* p, bool u8, image::Image* img) {
-  const std::size_t channels = img->pixels().size() * 3;
-  if (!u8) {
-    std::memcpy(img->data(), p, channels * sizeof(double));
-    return channels * sizeof(double);
-  }
-  auto* v = reinterpret_cast<double*>(img->data());
-  std::size_t i = 0;
-  for (; i + kPlaneBlock <= channels; i += kPlaneBlock) {
-    std::uint8_t bytes[kPlaneBlock];
-    std::memcpy(bytes, p + i, kPlaneBlock);
-    for (std::size_t k = 0; k < kPlaneBlock; ++k) v[i + k] = bytes[k];
-  }
-  for (; i < channels; ++i) v[i] = p[i];
-  return channels;
 }
 
 }  // namespace
@@ -260,29 +222,24 @@ std::size_t encode_frame(std::uint8_t* buf, std::size_t cap,
   const std::size_t w = transmitted.width();
   const std::size_t h = transmitted.height();
   if (w > kMaxFrameEdge || h > kMaxFrameEdge) return 0;
-  const std::size_t fixed = kHeaderSize + kFramePayloadFixedSize;
-  if (cap < fixed) return 0;
-
-  std::uint32_t format = 0;
-  std::uint8_t* planes = buf + fixed;
-  const std::size_t tx_bytes = put_plane(transmitted, planes, cap - fixed,
-                                         kTransmittedPlaneU8, &format);
-  if (tx_bytes == 0) return 0;
-  const std::size_t rx_bytes =
-      put_plane(received, planes + tx_bytes, cap - fixed - tx_bytes,
-                kReceivedPlaneU8, &format);
-  if (rx_bytes == 0) return 0;
+  const std::size_t total = frame_wire_size(w, h);
+  if (cap < total) return 0;
+  std::uint8_t* planes = buf + kHeaderSize + kFramePayloadFixedSize;
+  if (!put_plane(transmitted, planes) ||
+      !put_plane(received, planes + w * h * 3)) {
+    return 0;
+  }
 
   std::uint8_t* p = buf + kHeaderSize;
   put_u32(p, frame_seq);
-  put_u32(p + 4, format);
+  put_u32(p + 4, kPlaneFormatsU8);
   put_u64(p + 8, timestamp_us);
   put_u32(p + 16, static_cast<std::uint32_t>(w));
   put_u32(p + 20, static_cast<std::uint32_t>(h));
   put_u64(p + 24, trace_id);
-  const std::size_t payload = kFramePayloadFixedSize + tx_bytes + rx_bytes;
-  seal_header(buf, payload, MsgType::kFrame, session_token, stream_id);
-  return kHeaderSize + payload;
+  seal_header(buf, total - kHeaderSize, MsgType::kFrame, session_token,
+              stream_id);
+  return total;
 }
 
 std::size_t encode_verdict(std::uint8_t* buf, std::size_t cap,
@@ -386,15 +343,12 @@ bool parse_frame(const MessageView& view, FrameMsg* out) {
   out->height = get_u32(view.payload + 20);
   out->trace_id = get_u64(view.payload + 24);
   if (out->width == 0 || out->height == 0 || out->width > kMaxFrameEdge ||
-      out->height > kMaxFrameEdge ||
-      (out->plane_format & ~kPlaneFormatsU8) != 0) {
+      out->height > kMaxFrameEdge || out->plane_format != kPlaneFormatsU8) {
     return false;
   }
-  // The announced dimensions and plane formats must account for the payload
-  // exactly — a mismatch means a forged length field that a CRC alone
-  // cannot catch.
-  if (view.payload_len !=
-      frame_payload_size(out->width, out->height, out->plane_format)) {
+  // The announced dimensions must account for the payload exactly — a
+  // mismatch means a forged length field that a CRC alone cannot catch.
+  if (view.payload_len != frame_payload_size(out->width, out->height)) {
     return false;
   }
   out->pixels = view.payload + kFramePayloadFixedSize;
@@ -445,23 +399,6 @@ bool parse_stats_reply(const MessageView& view, StatsReplyMsg* out) {
   out->text = view.payload + kStatsReplyFixedSize;
   out->text_len = view.payload_len - kStatsReplyFixedSize;
   return true;
-}
-
-void frame_pixels_to_images(const FrameMsg& frame, image::Image* transmitted,
-                            image::Image* received) {
-  const std::size_t w = frame.width;
-  const std::size_t h = frame.height;
-  if (transmitted->width() != w || transmitted->height() != h) {
-    *transmitted = image::Image(w, h);
-  }
-  if (received->width() != w || received->height() != h) {
-    *received = image::Image(w, h);
-  }
-  const std::size_t tx_bytes =
-      get_plane(frame.pixels, (frame.plane_format & kTransmittedPlaneU8) != 0,
-                transmitted);
-  (void)get_plane(frame.pixels + tx_bytes,
-                  (frame.plane_format & kReceivedPlaneU8) != 0, received);
 }
 
 void frame_pixels_to_bytes(const FrameMsg& frame, image::ImageU8* transmitted,

@@ -42,11 +42,10 @@
 // Encode functions write into caller-supplied buffers and never allocate;
 // decode functions return bounds-checked views into the input buffer and
 // never read past `len`. A Frame carries each pixel plane as R,G,B triplets
-// in one of two encodings, chosen per plane and announced by the payload's
-// plane_format bits: one byte per channel when every channel widens back to
-// its exact IEEE bits (ordinary 8-bit video), raw little-endian f64
-// otherwise. Both are lossless: a frame fed through encode/decode produces
-// the bit-identical image::Image, which is what lets the socketpair
+// at one byte per channel: 8-bit video, the only kind a camera sends. The
+// encoder refuses a frame holding any channel that is not an exact byte
+// value, so the byte planes the server hands the detector hold exactly the
+// values the client's images held, which is what lets the socketpair
 // end-to-end gate demand verdict equality with in-process feeding.
 #pragma once
 
@@ -61,8 +60,8 @@ namespace lumichat::wire {
 inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::size_t kHeaderSize = 24;
 /// Upper bound on payload_len a peer may announce; anything larger is
-/// malformed (a 128x128 f64 frame pair is ~786 KiB, so 4 MiB leaves room
-/// without letting a hostile length allocate the moon).
+/// malformed (a 512x512 frame pair is 1.5 MiB, so 4 MiB leaves room without
+/// letting a hostile length allocate the moon).
 inline constexpr std::size_t kMaxPayload = 4u << 20;
 /// Largest frame edge the protocol accepts (the image layer's limit).
 inline constexpr auto kMaxFrameEdge =
@@ -143,17 +142,13 @@ struct HelloAckMsg {
 };
 inline constexpr std::size_t kHelloAckPayloadSize = 16;
 
-/// FrameMsg::plane_format bits. A set bit means that plane travels as one
-/// byte per channel; a clear bit means raw f64. Any other bit is malformed.
-inline constexpr std::uint32_t kTransmittedPlaneU8 = 0x1;
-inline constexpr std::uint32_t kReceivedPlaneU8 = 0x2;
-inline constexpr std::uint32_t kPlaneFormatsU8 =
-    kTransmittedPlaneU8 | kReceivedPlaneU8;
+/// The one FrameMsg::plane_format value: both planes at one byte per
+/// channel. A Frame carrying any other value is malformed.
+inline constexpr std::uint32_t kPlaneFormatsU8 = 0x3;
 
 /// Fixed part of a Frame payload; `pixels` points at the planes
-/// (transmitted then received, each width*height R,G,B triplets, each in
-/// the encoding its plane_format bit names). The trace_id sits between the
-/// dimensions and the planes.
+/// (transmitted then received, each width*height R,G,B byte triplets). The
+/// trace_id sits between the dimensions and the planes.
 struct FrameMsg {
   std::uint32_t frame_seq = 0;
   std::uint32_t plane_format = 0;
@@ -166,23 +161,15 @@ struct FrameMsg {
 /// Fixed (pre-pixel) payload bytes of a Frame.
 inline constexpr std::size_t kFramePayloadFixedSize = 32;
 
-/// Payload bytes of a Frame message carrying a w x h pair in
-/// `plane_format`. The default, both planes f64, is the largest encoding:
-/// what a sender reserves before it knows which one a frame takes.
-[[nodiscard]] constexpr std::size_t frame_payload_size(
-    std::size_t width, std::size_t height, std::uint32_t plane_format = 0) {
-  const std::size_t channels = width * height * 3;
-  const auto plane = [&](std::uint32_t bit) {
-    return channels * ((plane_format & bit) != 0 ? 1 : sizeof(double));
-  };
-  return kFramePayloadFixedSize + plane(kTransmittedPlaneU8) +
-         plane(kReceivedPlaneU8);
+/// Payload bytes of a Frame message carrying a w x h pair.
+[[nodiscard]] constexpr std::size_t frame_payload_size(std::size_t width,
+                                                       std::size_t height) {
+  return kFramePayloadFixedSize + 2 * width * height * 3;
 }
-/// Full wire size of a Frame message carrying a w x h pair in
-/// `plane_format` (default: the f64 maximum).
-[[nodiscard]] constexpr std::size_t frame_wire_size(
-    std::size_t width, std::size_t height, std::uint32_t plane_format = 0) {
-  return kHeaderSize + frame_payload_size(width, height, plane_format);
+/// Full wire size of a Frame message carrying a w x h pair.
+[[nodiscard]] constexpr std::size_t frame_wire_size(std::size_t width,
+                                                    std::size_t height) {
+  return kHeaderSize + frame_payload_size(width, height);
 }
 
 struct VerdictMsg {
@@ -247,10 +234,10 @@ inline constexpr std::size_t kStatsReplyFixedSize = 8;
                                            std::uint64_t session_token,
                                            std::uint32_t stream_id,
                                            const HelloAckMsg& msg);
-/// Encodes the frame pair from two equally sized images. Each plane goes
-/// out as one byte per channel when every channel is finite, integral, in
-/// [0, 255] and not -0.0 (so it widens back to the identical bits), and as
-/// f64 otherwise; the scan stops at the first value that rules u8 out.
+/// Encodes the frame pair at one byte per channel. Returns 0, as for a
+/// short buffer, when the images differ in size, are empty or exceed
+/// kMaxFrameEdge, or when any channel is not an exact byte value: finite,
+/// integral, in [0, 255] and not -0.0 (the scan stops at the first).
 [[nodiscard]] std::size_t encode_frame(std::uint8_t* buf, std::size_t cap,
                                        std::uint64_t session_token,
                                        std::uint32_t stream_id,
@@ -296,9 +283,9 @@ inline constexpr std::size_t kStatsReplyFixedSize = 8;
 [[nodiscard]] bool parse_hello(const MessageView& view, HelloMsg* out);
 [[nodiscard]] bool parse_hello_ack(const MessageView& view, HelloAckMsg* out);
 /// Validates dimensions and plane_format against the payload length (a
-/// Frame whose w*h and plane formats do not account for its payload_len
-/// exactly, or that sets an unknown format bit, is malformed, even with a
-/// valid CRC).
+/// Frame whose w*h does not account for its payload_len exactly, or whose
+/// plane_format is not kPlaneFormatsU8, is malformed, even with a valid
+/// CRC).
 [[nodiscard]] bool parse_frame(const MessageView& view, FrameMsg* out);
 [[nodiscard]] bool parse_verdict(const MessageView& view, VerdictMsg* out);
 [[nodiscard]] bool parse_heartbeat(const MessageView& view, HeartbeatMsg* out);
@@ -308,16 +295,9 @@ inline constexpr std::size_t kStatsReplyFixedSize = 8;
 [[nodiscard]] bool parse_stats_reply(const MessageView& view,
                                      StatsReplyMsg* out);
 
-/// Copies a parsed frame's pixel planes into two caller-owned images,
-/// widening u8 planes back to f64. Reuses the images' storage when they
-/// already have the frame's dimensions (the arena steady state — no
-/// allocation); resizes otherwise.
-void frame_pixels_to_images(const FrameMsg& frame, image::Image* transmitted,
-                            image::Image* received);
-
-/// Copies a parsed frame whose planes are both u8 (plane_format ==
-/// kPlaneFormatsU8) into two caller-owned 8-bit images, byte for byte.
-/// Reuses their storage as frame_pixels_to_images() does.
+/// Copies a parsed frame's planes into two caller-owned 8-bit images, byte
+/// for byte. Reuses their storage when they already have the frame's
+/// dimensions (the arena steady state — no allocation); resizes otherwise.
 void frame_pixels_to_bytes(const FrameMsg& frame, image::ImageU8* transmitted,
                            image::ImageU8* received);
 

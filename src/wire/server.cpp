@@ -336,14 +336,9 @@ bool WireServer::on_frame(Connection& conn, const MessageView& msg) {
       (frame.width == arena_.width() && frame.height == arena_.height())
           ? arena_.acquire()
           : service::FrameJob{};
-  // A pair that arrived all 8-bit stays 8-bit through the detector; any
-  // f64 plane widens both into the images.
-  job.eight_bit = frame.plane_format == kPlaneFormatsU8;
-  if (job.eight_bit) {
-    frame_pixels_to_bytes(frame, &job.transmitted_u8, &job.received_u8);
-  } else {
-    frame_pixels_to_images(frame, &job.transmitted, &job.received);
-  }
+  // The pair stays 8-bit through the detector.
+  job.eight_bit = true;
+  frame_pixels_to_bytes(frame, &job.transmitted_u8, &job.received_u8);
   job.t_sec = static_cast<double>(frame.timestamp_us) * 1e-6;
   job.trace_id = frame.trace_id;
   job.enqueued_at = service::ServiceClock::now();

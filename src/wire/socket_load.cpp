@@ -85,13 +85,9 @@ std::size_t socket_arena_jobs(std::size_t n_connections,
                               std::size_t read_chunk, std::size_t frame_width,
                               std::size_t frame_height) {
   // Peak in-flight jobs per cycle: one read chunk of frames per connection
-  // (the per-cycle pump drains everything fed before the next read), counted
-  // at the smallest encoding, both planes u8, since that packs the most
-  // frames into a chunk.
+  // (the per-cycle pump drains everything fed before the next read).
   return n_connections *
-             (read_chunk /
-                  frame_wire_size(frame_width, frame_height, kPlaneFormatsU8) +
-              2) +
+             (read_chunk / frame_wire_size(frame_width, frame_height) + 2) +
          64;
 }
 

@@ -49,8 +49,8 @@ struct SocketLoadOptions {
 };
 
 /// Arena jobs run_socket_load gives its WireServer so that no poll cycle
-/// outgrows the pool: what one read chunk per connection can decode, at the
-/// smallest Frame encoding of the geometry, plus slack.
+/// outgrows the pool: what one read chunk per connection can decode, plus
+/// slack.
 [[nodiscard]] std::size_t socket_arena_jobs(std::size_t n_connections,
                                             std::size_t read_chunk,
                                             std::size_t frame_width,

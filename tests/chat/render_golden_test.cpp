@@ -61,9 +61,11 @@ constexpr SessionCrcs kAttackerGolden{0x61213bd0u, 0x80fd4e43u};
 // Pinned before the dataset, the load generator and the scenario engine
 // were rebuilt on one simulated-call recipe.
 constexpr SessionCrcs kAdaptiveGolden{0x70d632e1u, 0xa246133du};
-constexpr SessionCrcs kLoadLegitGolden{0x9482493au, 0x9205f25bu};
-constexpr SessionCrcs kLoadAttackerGolden{0x436cb301u, 0x48af3e7au};
-constexpr SessionCrcs kLoadFaultedGolden{0x1bfac094u, 0x5e7b8d9du};
+// The load generator's chats ship 8-bit video: these are the earlier
+// pins' frames with every channel clamped to [0, 255] and rounded half up.
+constexpr SessionCrcs kLoadLegitGolden{0x3ef8f3d3u, 0x65c0d618u};
+constexpr SessionCrcs kLoadAttackerGolden{0x04b2ea2fu, 0x1c1362d2u};
+constexpr SessionCrcs kLoadFaultedGolden{0x6dfc79c9u, 0x0b867d34u};
 
 service::LoadSpec short_load() {
   service::LoadSpec spec;  // full chat, 1 s warm-up

@@ -2,14 +2,23 @@
 // parallel-engine invariant): one load scenario, executed serially, on a
 // 1-thread pool and on an N-thread pool, must yield bit-identical
 // per-session verdict sequences — including when backpressure is actively
-// dropping frames.
+// dropping frames. Also pinned here: what the load generator ships. Every
+// chat make_chat_source builds is 8-bit video, each channel rounded the
+// way paperbench's corpus stores its frames.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "face/face_model.hpp"
 #include "obs/explain.hpp"
 #include "obs/json.hpp"
 #include "service/load_generator.hpp"
@@ -162,6 +171,110 @@ TEST(ServiceLoad, FullChatRunExplainsEveryWindowAndCountsItsPumps) {
   EXPECT_GT(report.stats.counter("scheduler.drain_tasks"), 0u);
   EXPECT_EQ(report.stats.counter("service.frames_processed"),
             report.frames_fed);
+}
+
+/// paperbench's corpus rounding of one channel (bench/corpus.cpp).
+double corpus_round(double v) {
+  return static_cast<double>(
+      static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5));
+}
+
+/// Checks that every channel of `shipped` is a byte value and equals the
+/// corpus rounding of the same channel of `raw`, bit for bit.
+void expect_rounded(const image::Image& shipped, const image::Image& raw) {
+  ASSERT_EQ(shipped.width(), raw.width());
+  ASSERT_EQ(shipped.height(), raw.height());
+  const auto* got = reinterpret_cast<const double*>(shipped.data());
+  const auto* in = reinterpret_cast<const double*>(raw.data());
+  for (std::size_t i = 0; i < shipped.pixels().size() * 3; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(corpus_round(in[i])))
+        << "channel " << i << " of " << in[i];
+    ASSERT_TRUE(got[i] >= 0.0 && got[i] <= 255.0 &&
+                got[i] == static_cast<double>(static_cast<int>(got[i])));
+  }
+}
+
+/// A call that answers one fixed pair and records the hooks it receives.
+struct FixedCall final : reenact::CallSource {
+  chat::FramePair next() override { return pair; }
+  void set_actor(reenact::PeerRole role) override { actor = role; }
+  void apply_faults(const faults::FaultConfig&, std::uint64_t p) override {
+    phase = p;
+  }
+  chat::FramePair pair;
+  reenact::PeerRole actor = reenact::PeerRole::kLegitimate;
+  std::uint64_t phase = 0;
+};
+
+TEST(ChatSource, EightBitCallRoundsEdgeValuesLikeTheCorpus) {
+  const double kValues[] = {-3.0, -0.0, 0.49, 0.5,   127.5,
+                            254.49, 254.5, 255.0, 255.4, 300.0};
+  auto fixed = std::make_unique<FixedCall>();
+  FixedCall& raw = *fixed;  // owned by the wrapper from here on
+  chat::FramePair& pair = raw.pair;
+  pair.t_sec = 1.5;
+  pair.transmitted = image::Image(std::size(kValues), 1);
+  pair.received = image::Image(std::size(kValues), 1);
+  for (std::size_t i = 0; i < std::size(kValues); ++i) {
+    const double v = kValues[i];
+    pair.transmitted.at(i, 0) = image::Pixel{v, -v, v + 1.0};
+    pair.received.at(i, 0) = image::Pixel{v - 1.0, v, 2.0 * v};
+  }
+  const auto call = make_eight_bit_call(std::move(fixed));
+  const chat::FramePair shipped = call->next();
+  EXPECT_EQ(shipped.t_sec, 1.5);
+  expect_rounded(shipped.transmitted, pair.transmitted);
+  expect_rounded(shipped.received, pair.received);
+  // The edge values by hand: -3 -> 0, 254.49 -> 254, 254.5 -> 255, 300 -> 255.
+  EXPECT_EQ(shipped.transmitted.at(0, 0).r, 0.0);
+  EXPECT_EQ(shipped.transmitted.at(5, 0).r, 254.0);
+  EXPECT_EQ(shipped.transmitted.at(6, 0).r, 255.0);
+  EXPECT_EQ(shipped.transmitted.at(9, 0).r, 255.0);
+
+  // The mid-call hooks reach the wrapped call.
+  call->set_actor(reenact::PeerRole::kAttacker);
+  call->apply_faults(faults::FaultConfig{}, 7);
+  EXPECT_EQ(raw.actor, reenact::PeerRole::kAttacker);
+  EXPECT_EQ(raw.phase, 7u);
+}
+
+TEST(ChatSource, LoadGeneratorChatsShipTheCallsFramesRoundedToBytes) {
+  for (const bool full_chat : {false, true}) {
+    for (const double severity : {0.0, 0.3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "full_chat " << full_chat << " faults " << severity);
+      LoadSpec spec;
+      spec.duration_s = 2.0;
+      spec.full_chat = full_chat;
+      spec.faults = faults::FaultConfig::uniform(severity);
+      spec.master_seed = 20200707;
+      for (const std::size_t ordinal : {std::size_t{3}, std::size_t{4}}) {
+        const bool attacker = ordinal == 4;
+        // The unrounded call, built from make_chat_source's recipe.
+        reenact::CallRecipe recipe;
+        recipe.session.duration_s = spec.duration_s;
+        recipe.session.sample_rate_hz = spec.sample_rate_hz;
+        recipe.session.warmup_s = spec.warmup_s;
+        recipe.session.faults = spec.faults;
+        recipe.victim = face::make_volunteer_face(ordinal % 10);
+        const auto raw = reenact::make_call(
+            recipe, common::derive_seed(spec.master_seed, ordinal),
+            attacker ? reenact::PeerRole::kAttacker
+                     : reenact::PeerRole::kLegitimate,
+            full_chat);
+        const auto shipped = make_chat_source(spec, ordinal, attacker);
+        for (int tick = 0; tick < 20; ++tick) {
+          const chat::FramePair want = raw->next();
+          const chat::FramePair got = shipped->next();
+          ASSERT_EQ(got.t_sec, want.t_sec);
+          ASSERT_NO_FATAL_FAILURE(
+              expect_rounded(got.transmitted, want.transmitted));
+          ASSERT_NO_FATAL_FAILURE(expect_rounded(got.received, want.received));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

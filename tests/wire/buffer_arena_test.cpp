@@ -66,7 +66,11 @@ TEST(FrameArena, AcquireRecycleCyclesOneAllocation) {
   EXPECT_EQ(arena.stats().allocated_frames, 1u);
   for (int i = 0; i < 100; ++i) {
     service::FrameJob job = arena.acquire();
-    EXPECT_EQ(job.transmitted.width(), 8u);
+    EXPECT_EQ(job.transmitted_u8.width(), 8u);
+    EXPECT_EQ(job.received_u8.height(), 8u);
+    // Wire frames are 8-bit: a pooled job carries no f64 storage.
+    EXPECT_TRUE(job.transmitted.empty());
+    EXPECT_TRUE(job.received.empty());
     EXPECT_EQ(job.recycler, &arena);
     service::release_frame_job(std::move(job));
   }
@@ -95,7 +99,7 @@ TEST(FrameArena, GrowsOnlyWhenPoolExhausted) {
 TEST(FrameArena, ForeignGeometryJobsAreDroppedNotPooled) {
   FrameArena arena(8, 8, 1);
   service::FrameJob job = arena.acquire();
-  job.transmitted = image::Image(4, 4);  // client renegotiated its size
+  job.transmitted_u8 = image::ImageU8(4, 4);  // client renegotiated its size
   service::release_frame_job(std::move(job));
   const FrameArena::Stats stats = arena.stats();
   EXPECT_EQ(stats.free_frames, 0u);  // dropped: pooling it would hand out

@@ -68,8 +68,8 @@ void expect_bit_identical(const service::LoadReport& wire,
     for (std::size_t k = 0; k < r.verdicts.size(); ++k) {
       EXPECT_EQ(w.verdicts[k], r.verdicts[k])
           << "session " << i << " window " << k;
-      // Bitwise, not approximate: the wire carries f64 planes and scores
-      // losslessly, so even the NaN-safe comparison is memcmp.
+      // Bitwise, not approximate: the wire carries the byte planes and
+      // scores losslessly, so even the NaN-safe comparison is memcmp.
       EXPECT_EQ(std::memcmp(&w.lof_scores[k], &r.lof_scores[k],
                             sizeof(double)),
                 0)
@@ -151,33 +151,18 @@ TEST(WireEndToEnd, NanDurationThrowsInsteadOfDriving) {
                std::invalid_argument);
 }
 
-// --- 8-bit frames ---------------------------------------------------------
+// --- The wire's bytes -----------------------------------------------------
 //
-// Real chat video is 8-bit, and a Frame then carries each plane at one byte
-// per channel. run_load and run_socket_load render their own f64 frames, so
-// these tests render a population up front, round it to 8 bits the way
-// paperbench's corpus stores frames, and feed the same frames both ways.
-
-/// Rounds a channel to 8 bits as paperbench's corpus does (clamp, then
-/// round half up).
-double to_8bit(double v) {
-  return static_cast<double>(
-      static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5));
-}
-
-image::Image to_8bit(image::Image img) {
-  for (std::size_t i = 0; i < img.pixels().size(); ++i) {
-    image::Pixel& p = img.data()[i];
-    p = image::Pixel{to_8bit(p.r), to_8bit(p.g), to_8bit(p.b)};
-  }
-  return img;
-}
+// Chat video is 8-bit, and a Frame carries each plane at one byte per
+// channel. These tests render a population up front and send it over
+// socketpairs, so they can count the bytes each frame took and watch the
+// server's arena, and check the verdicts against run_load's.
 
 /// Frames of one chat, in tick order.
 using ChatFrames = std::vector<chat::FramePair>;
 
-/// Every chat's frames of `spec`, rounded to 8 bits, in chat order.
-std::vector<ChatFrames> eight_bit_frames(const service::LoadSpec& spec) {
+/// Every chat's frames of `spec`, in chat order.
+std::vector<ChatFrames> chat_frames(const service::LoadSpec& spec) {
   const std::size_t ticks =
       chat::tick_count(spec.duration_s, spec.sample_rate_hz);
   std::vector<ChatFrames> chats(spec.n_sessions);
@@ -185,10 +170,7 @@ std::vector<ChatFrames> eight_bit_frames(const service::LoadSpec& spec) {
     const auto source = service::make_chat_source(
         spec, c, service::load_session_is_attacker(spec, c));
     for (std::size_t k = 0; k < ticks; ++k) {
-      chat::FramePair pair = source->next();
-      pair.transmitted = to_8bit(std::move(pair.transmitted));
-      pair.received = to_8bit(std::move(pair.received));
-      chats[c].push_back(std::move(pair));
+      chats[c].push_back(source->next());
     }
   }
   return chats;
@@ -198,40 +180,23 @@ std::vector<ChatFrames> eight_bit_frames(const service::LoadSpec& spec) {
 using WindowOutcome = std::pair<core::Verdict, std::uint64_t>;
 using Outcomes = std::vector<std::vector<WindowOutcome>>;
 
-/// Feeds `frames` to a SessionManager in process, pumping every
-/// spec.ticks_per_pump ticks as run_load does.
-Outcomes feed_in_process(const service::LoadSpec& spec,
-                         const std::vector<ChatFrames>& frames) {
-  service::SessionManager manager(e2e_service_config(),
-                                  test_streaming_config(), trained_registry());
-  service::FrameScheduler scheduler(nullptr);
-  manager.attach_scheduler(&scheduler);
-  std::vector<service::SessionId> ids;
-  for (std::size_t c = 0; c < frames.size(); ++c) {
-    ids.push_back(manager.create().value());
-  }
-  const std::size_t ticks = frames.front().size();
-  for (std::size_t done = 0; done < ticks; done += spec.ticks_per_pump) {
-    for (std::size_t c = 0; c < frames.size(); ++c) {
-      for (std::size_t k = done;
-           k < std::min(ticks, done + spec.ticks_per_pump); ++k) {
-        const chat::FramePair& pair = frames[c][k];
-        EXPECT_TRUE(manager.feed(ids[c], pair.t_sec, pair.transmitted,
-                                 pair.received));
-      }
-    }
-    scheduler.pump();
-  }
-  Outcomes out(frames.size());
-  for (std::size_t c = 0; c < frames.size(); ++c) {
-    for (const service::WindowVerdict& w : manager.verdicts(ids[c])) {
-      out[c].emplace_back(w.verdict, std::bit_cast<std::uint64_t>(w.lof_score));
+/// run_load's verdicts for `spec`, in chat order.
+Outcomes run_in_process(const service::LoadSpec& spec) {
+  Outcomes out;
+  for (const service::SessionResult& s :
+       service::run_load(spec, e2e_service_config(), test_streaming_config(),
+                         trained_registry())
+           .sessions) {
+    std::vector<WindowOutcome>& windows = out.emplace_back();
+    for (std::size_t k = 0; k < s.verdicts.size(); ++k) {
+      windows.emplace_back(s.verdicts[k],
+                           std::bit_cast<std::uint64_t>(s.lof_scores[k]));
     }
   }
   return out;
 }
 
-struct EightBitSocketRun {
+struct SocketRun {
   Outcomes outcomes;
   double client_bytes_per_frame = 0.0;
   std::size_t arena_initial = 0;
@@ -241,7 +206,7 @@ struct EightBitSocketRun {
 /// Sends `frames` over `n_conns` socketpairs to a WireServer whose arena is
 /// sized as run_socket_load sizes it, driving client and server in turn on
 /// this thread as run_socket_load does.
-EightBitSocketRun feed_over_socket(const service::LoadSpec& spec,
+SocketRun feed_over_socket(const service::LoadSpec& spec,
                                    const std::vector<ChatFrames>& frames,
                                    std::size_t n_conns) {
   service::SessionManager manager(e2e_service_config(),
@@ -267,7 +232,7 @@ EightBitSocketRun feed_over_socket(const service::LoadSpec& spec,
   }
 
   const std::size_t n_chats = frames.size();
-  EightBitSocketRun run;
+  SocketRun run;
   run.outcomes.resize(n_chats);
   std::vector<service::SessionId> sessions(n_chats);
   std::size_t acked = 0;
@@ -357,32 +322,31 @@ TEST(WireEndToEnd, EightBitFullChatFramesCrossAsBytesWithIdenticalVerdicts) {
   service::LoadSpec spec = e2e_spec();
   spec.n_sessions = 4;
   spec.full_chat = true;  // 96x72 frames, the paper-protocol geometry
-  const auto frames = eight_bit_frames(spec);
+  const auto frames = chat_frames(spec);
   ASSERT_EQ(frames.front().front().transmitted.width(), 96u);
   ASSERT_EQ(frames.front().front().transmitted.height(), 72u);
 
-  const Outcomes ref = feed_in_process(spec, frames);
+  const Outcomes ref = run_in_process(spec);
   // Two 2 s windows per session — a vacuous pass must not count.
   ASSERT_EQ(ref.front().size(), 2u);
-  const EightBitSocketRun wire = feed_over_socket(spec, frames, 2);
+  const SocketRun wire = feed_over_socket(spec, frames, 2);
   EXPECT_EQ(wire.outcomes, ref);
-  // Both planes rode one byte per channel: 41,528 bytes a frame instead of
-  // the 331,832 an f64 pair takes.
+  // Both planes rode one byte per channel: 41,528 bytes a frame.
   EXPECT_EQ(wire.client_bytes_per_frame, 41528.0);
   EXPECT_EQ(wire.arena.allocated_frames, wire.arena_initial);
 }
 
 TEST(WireEndToEnd, EightBitRunStaysInsideItsArena) {
-  // Many small 8-bit frames on one connection: one 64 KiB read decodes a
-  // whole block (60 sessions x 2 ticks x 440 bytes) before the pump drains
-  // it — more jobs than a pool sized by the f64 frame size holds.
+  // Many small frames on one connection: one 64 KiB read decodes a whole
+  // block (60 sessions x 2 ticks x 440 bytes) before the pump drains it,
+  // and the arena socket_arena_jobs sizes must hold every one of them.
   service::LoadSpec spec = e2e_spec();
   spec.n_sessions = 60;
-  const auto frames = eight_bit_frames(spec);
-  const EightBitSocketRun wire = feed_over_socket(spec, frames, 1);
+  const auto frames = chat_frames(spec);
+  const SocketRun wire = feed_over_socket(spec, frames, 1);
   EXPECT_EQ(wire.client_bytes_per_frame,
-            static_cast<double>(frame_wire_size(8, 8, kPlaneFormatsU8)));
-  EXPECT_EQ(wire.outcomes, feed_in_process(spec, frames));
+            static_cast<double>(frame_wire_size(8, 8)));
+  EXPECT_EQ(wire.outcomes, run_in_process(spec));
   EXPECT_EQ(wire.arena.allocated_frames, wire.arena_initial);
   EXPECT_EQ(wire.arena.free_frames, wire.arena.allocated_frames);
 }

@@ -2,13 +2,13 @@
 // handshake and admission, stream multiplexing, heartbeats, orderly and
 // error teardown, idle sweeping — the connection state machine the socket
 // bench relies on.
-#include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,18 +18,15 @@
 
 #include <gtest/gtest.h>
 
-#include "chat/frame_source.hpp"
 #include "image/image.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "service/load_generator.hpp"
 #include "service/scheduler.hpp"
 #include "service/session_manager.hpp"
 #include "wire/client.hpp"
 #include "wire/crc32.hpp"
 #include "wire/server.hpp"
 
-#include "../image/u8_frames.hpp"
 #include "../service/service_test_util.hpp"
 
 namespace lumichat::wire {
@@ -506,59 +503,41 @@ TEST(WireServerClient, WindowsClosingInOneCycleReachEveryConnectionInOrder) {
   }
 }
 
-TEST(WireServerClient, MixedPlaneFramesWidenWithInProcessVerdicts) {
-  // A Frame with one u8 and one f64 plane takes the widening path; its
-  // verdicts and LOF bits equal feeding the same images in process.
-  service::LoadSpec spec;
-  spec.n_sessions = 1;
-  spec.duration_s = 4.0;
-  spec.full_chat = false;
-  spec.master_seed = 404;
-  const auto source = service::make_chat_source(spec, 0, /*attacker=*/false);
-  std::vector<chat::FramePair> chat;
-  for (std::size_t k = 0; k < 40; ++k) chat.push_back(source->next());
-  const auto rounded = [](const image::Image& img) {
-    return image::testutil::widen(image::testutil::to_u8(img));
+TEST(WireServerClient, SendFrameRefusesUnsendablePairsWithoutQueuing) {
+  Rig rig;
+  rig.client->hello(3, 1, 8, 8);  // so the outgoing buffer is not empty
+  const std::size_t queued = rig.client->pending_out();
+  ASSERT_GT(queued, 0u);
+
+  const image::Image good(8, 8, image::Pixel{120.0, 120.0, 120.0});
+  const auto refused = [&](const char* what, const image::Image& tx,
+                           const image::Image& rx) {
+    SCOPED_TRACE(what);
+    EXPECT_THROW(rig.client->send_frame(3, 1, 0, 0, tx, rx),
+                 std::invalid_argument);
+    EXPECT_EQ(rig.client->pending_out(), queued);
   };
-
-  for (const std::uint32_t format : {kTransmittedPlaneU8, kReceivedPlaneU8}) {
-    SCOPED_TRACE(::testing::Message() << "plane_format " << format);
-    Rig rig;
-    rig.client->hello(3, 1, 8, 8);
-    rig.converse();
-    ASSERT_EQ(expect_one_ack(*rig.client).ack.status,
-              static_cast<std::uint32_t>(HelloStatus::kAccepted));
-    service::SessionManager ref(small_service_config(),
-                                test_streaming_config(), trained_registry());
-    const service::SessionId id = ref.create().value();
-
-    for (std::uint32_t k = 0; k < chat.size(); ++k) {
-      const bool tx_u8 = format == kTransmittedPlaneU8;
-      const image::Image tx = tx_u8 ? rounded(chat[k].transmitted)
-                                    : chat[k].transmitted;
-      const image::Image rx = tx_u8 ? chat[k].received
-                                    : rounded(chat[k].received);
-      const auto us = static_cast<std::uint64_t>(
-          std::llround(chat[k].t_sec * 1e6));
-      const std::size_t before = rig.client->pending_out();
-      rig.client->send_frame(3, 1, k, us, tx, rx);
-      ASSERT_EQ(rig.client->pending_out() - before,
-                frame_wire_size(8, 8, format));
-      ASSERT_TRUE(ref.feed(id, static_cast<double>(us) * 1e-6, tx, rx));
-    }
-    rig.converse(8);
-
-    const std::vector<service::WindowVerdict> expected = ref.verdicts(id);
-    ASSERT_EQ(expected.size(), 2u);
-    VerdictEvent got[4];
-    ASSERT_EQ(rig.client->take_verdicts(got, 4), expected.size());
-    for (std::size_t w = 0; w < expected.size(); ++w) {
-      EXPECT_EQ(got[w].verdict.verdict,
-                static_cast<std::uint8_t>(expected[w].verdict));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[w].verdict.lof_score),
-                std::bit_cast<std::uint64_t>(expected[w].lof_score));
-    }
+  refused("mismatched dimensions", good, image::Image(8, 9));
+  refused("empty", image::Image{}, image::Image{});
+  const image::Image wide(kMaxFrameEdge + 1, 1);
+  refused("513 wide", wide, wide);
+  for (const double bad : {0.5, -0.0, 256.0,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(bad);
+    image::Image dirty = good;
+    dirty.data()[37].b = bad;
+    refused("non-byte transmitted channel", dirty, good);
+    refused("non-byte received channel", good, dirty);
   }
+
+  // A byte-valued pair still goes out, and only it reaches the server.
+  rig.client->send_frame(3, 1, 0, 0, good, good);
+  EXPECT_EQ(rig.client->pending_out(), queued + frame_wire_size(8, 8));
+  rig.converse();
+  EXPECT_EQ(expect_one_ack(*rig.client).ack.status,
+            static_cast<std::uint32_t>(HelloStatus::kAccepted));
+  EXPECT_EQ(rig.registry.counter("wire.frames_in").value(), 1u);
+  EXPECT_EQ(rig.registry.counter("wire.malformed").value(), 0u);
 }
 
 }  // namespace
