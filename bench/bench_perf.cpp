@@ -38,6 +38,8 @@
 #include "image/luminance.hpp"
 #include "optics/camera.hpp"
 #include "model/snapshot.hpp"
+#include "signal/dtw.hpp"
+#include "signal/stats.hpp"
 #include "service/load_generator.hpp"
 #include "simd/dispatch.hpp"
 #include "wire/protocol.hpp"
@@ -61,6 +63,10 @@ struct Fixtures {
   core::PreprocessResult r_pre;
   core::FeatureVector feature;
   image::Image face_frame;
+  // The first 75 samples of both normalised trends: one half-window DTW
+  // (z4 compares the two 7.5 s halves of a 15 s window).
+  signal::Signal dtw_t;
+  signal::Signal dtw_r;
 
   Fixtures() {
     const auto pop = eval::make_population();
@@ -73,6 +79,10 @@ struct Fixtures {
     detector.attach_model(model::fit_lof_model(detector.config(), 
         data.features(pop[9], eval::Role::kLegitimate, 20)));
     face_frame = trace.received.frames[50];
+    dtw_t = signal::normalize01(signal::Signal(
+        t_pre.smoothed_variance.begin(), t_pre.smoothed_variance.begin() + 75));
+    dtw_r = signal::normalize01(signal::Signal(
+        r_pre.smoothed_variance.begin(), r_pre.smoothed_variance.begin() + 75));
   }
 };
 
@@ -161,6 +171,14 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction);
 
+void BM_Dtw75x75(benchmark::State& state) {
+  Fixtures& f = fixtures();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(signal::dtw_distance(f.dtw_t, f.dtw_r));
+  }
+}
+BENCHMARK(BM_Dtw75x75);
+
 void BM_LofClassification(benchmark::State& state) {
   Fixtures& f = fixtures();
   for (auto _ : state) {
@@ -168,6 +186,17 @@ void BM_LofClassification(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LofClassification);
+
+// The window step a live session runs when a window closes
+// (Detector::detect_window on raw T and R): both preprocesses, the
+// signal-quality check, the features and LOF.
+void BM_DetectWindow15s(benchmark::State& state) {
+  Fixtures& f = fixtures();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.detector.detect_window(f.t_raw, f.r_raw, 1.0));
+  }
+}
+BENCHMARK(BM_DetectWindow15s);
 
 // The Sec. IX headline: everything after video capture, for one 15 s clip.
 void BM_DetectFull15sClip(benchmark::State& state) {
@@ -448,6 +477,11 @@ std::vector<SimdWorkload> simd_workloads() {
       {"roi_luminance_frac", 1,
        [&d](const simd::Kernels& k, double* out) {
          out[0] = image::roi_luminance(d.frame, d.roi, k);
+       }},
+      // One half-window DTW (75 samples per side) of the z4 feature.
+      {"dtw_75x75", 1,
+       [&d](const simd::Kernels& k, double* out) {
+         out[0] = k.dtw(d.sig_a.data(), 75, d.sig_b.data(), 75);
        }},
       {"squared_dist4_batch", d.soa[0].size(),
        [&d](const simd::Kernels& k, double* out) {

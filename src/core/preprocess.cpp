@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "signal/fir.hpp"
-#include "signal/savitzky_golay.hpp"
 #include "signal/threshold.hpp"
 #include "signal/windows.hpp"
 
@@ -71,7 +69,12 @@ bool quality_insufficient(const SignalQuality& transmitted,
   return false;
 }
 
-Preprocessor::Preprocessor(DetectorConfig config) : config_(config) {}
+Preprocessor::Preprocessor(DetectorConfig config)
+    : config_(config),
+      lowpass_(signal::design_lowpass(config.lowpass_cutoff_hz,
+                                      config.sample_rate_hz,
+                                      config.lowpass_taps)),
+      savgol_(config.savgol_window, config.savgol_order) {}
 
 PreprocessResult Preprocessor::process(const signal::Signal& raw,
                                        double min_prominence) const {
@@ -82,17 +85,14 @@ PreprocessResult Preprocessor::process(const signal::Signal& raw,
     const signal::Signal clean =
         sanitize_non_finite(raw, &r.non_finite_samples);
 
-    const signal::FirFilter lpf =
-        signal::design_lowpass(config_.lowpass_cutoff_hz,
-                               config_.sample_rate_hz, config_.lowpass_taps);
-    r.filtered = lpf.apply_zero_phase(clean);
+    r.filtered = lowpass_.apply_zero_phase(clean);
 
     r.variance = signal::moving_variance(r.filtered, config_.variance_window);
     r.thresholded =
         signal::threshold_filter(r.variance, config_.variance_threshold);
 
     signal::Signal s = signal::moving_rms(r.thresholded, config_.rms_window);
-    s = signal::savgol_filter(s, config_.savgol_window, config_.savgol_order);
+    s = savgol_.apply(s);
     r.smoothed_variance =
         signal::moving_average_centered(s, config_.moving_avg_window);
   }

@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "signal/fir.hpp"
 #include "signal/peaks.hpp"
+#include "signal/savitzky_golay.hpp"
 #include "signal/types.hpp"
 
 namespace lumichat::core {
@@ -65,6 +67,11 @@ struct SignalQuality {
 
 class Preprocessor {
  public:
+  /// Designs the chain's two fixed filters (the low-pass taps and the
+  /// Savitzky-Golay kernel) from `config`, once for every later process().
+  /// \throws std::invalid_argument when either design is invalid (e.g. a
+  ///         low-pass cut-off at or above Nyquist), so a broken
+  ///         configuration fails here rather than at its first window.
   explicit Preprocessor(DetectorConfig config = {});
 
   /// Runs the full chain. `min_prominence` differs per signal: the paper
@@ -85,6 +92,8 @@ class Preprocessor {
 
  private:
   DetectorConfig config_;
+  signal::FirFilter lowpass_;
+  signal::SavgolSmoother savgol_;
 };
 
 }  // namespace lumichat::core

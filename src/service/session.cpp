@@ -18,7 +18,8 @@ ServiceInstruments::ServiceInstruments(obs::MetricsRegistry& registry)
       verdicts_abstain(registry.counter("service.verdicts_abstain")),
       push_to_verdict(registry.histogram("service.push_to_verdict")),
       queue_wait(registry.histogram("service.stage.queue_wait")),
-      detect(registry.histogram("service.stage.detect")) {}
+      detect(registry.histogram("service.stage.detect")),
+      window(registry.histogram("service.stage.window")) {}
 
 ServiceSession::ServiceSession(SessionId id, core::StreamingDetector detector,
                                std::size_t queue_capacity,
@@ -102,6 +103,7 @@ std::size_t ServiceSession::drain() {
                       t_done};
       history_.push_back(w);
       metrics_.windows_completed.add();
+      metrics_.window.record(detect);
       switch (verdict->verdict) {
         case core::Verdict::kAttacker: metrics_.verdicts_attacker.add(); break;
         case core::Verdict::kLegitimate: metrics_.verdicts_legit.add(); break;

@@ -64,6 +64,9 @@ struct ServiceInstruments {
   obs::LogHistogram& push_to_verdict;  ///< enqueue -> verdict, completing frame
   obs::LogHistogram& queue_wait;       ///< enqueue -> drain pickup
   obs::LogHistogram& detect;           ///< detector work inside the drain
+  /// The detect samples of the pushes that closed a window (the window
+  /// step: preprocess, features, LOF); one per windows_completed.
+  obs::LogHistogram& window;
 };
 
 /// One queued frame pair awaiting detection, in one of two forms: the f64

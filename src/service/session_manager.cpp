@@ -24,6 +24,10 @@ SessionManager::SessionManager(ServiceConfig config,
         "SessionManager: the model registry must hold a published snapshot "
         "(sessions attach it; the service never trains)");
   }
+  // Sessions build their detectors on demand; build one now so that a
+  // configuration the detector rejects (say, a low-pass cut-off at Nyquist)
+  // fails here, not at the first create().
+  (void)core::StreamingDetector(streaming_config_);
   if (config_.n_shards == 0) config_.n_shards = 1;
   if (config_.max_sessions == 0) {
     config_.max_sessions = default_service_capacity();

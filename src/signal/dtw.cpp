@@ -1,49 +1,15 @@
 #include "signal/dtw.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
-#include <vector>
+
+#include "simd/dispatch.hpp"
 
 namespace lumichat::signal {
 
-double dtw_distance(std::span<const double> x, std::span<const double> y,
-                    const DtwOptions& opts) {
-  const std::size_t n = x.size();
-  const std::size_t m = y.size();
-  if (n == 0 && m == 0) return 0.0;
-  if (n == 0 || m == 0) return std::numeric_limits<double>::infinity();
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Two-row rolling DP keeps memory at O(m) for the 150-sample clips here.
-  std::vector<double> prev(m + 1, kInf);
-  std::vector<double> curr(m + 1, kInf);
-  prev[0] = 0.0;
-
-  for (std::size_t i = 1; i <= n; ++i) {
-    std::fill(curr.begin(), curr.end(), kInf);
-    std::size_t j_lo = 1;
-    std::size_t j_hi = m;
-    if (opts.band > 0) {
-      // Centre the band on the diagonal scaled for unequal lengths.
-      const double diag =
-          static_cast<double>(i) * static_cast<double>(m) /
-          static_cast<double>(n);
-      const double lo = diag - static_cast<double>(opts.band);
-      const double hi = diag + static_cast<double>(opts.band);
-      j_lo = lo < 1.0 ? 1 : static_cast<std::size_t>(lo);
-      j_hi = hi > static_cast<double>(m) ? m : static_cast<std::size_t>(hi);
-      if (j_lo > j_hi) continue;
-    }
-    for (std::size_t j = j_lo; j <= j_hi; ++j) {
-      const double cost = std::fabs(x[i - 1] - y[j - 1]);
-      const double best =
-          std::min({prev[j], curr[j - 1], prev[j - 1]});
-      curr[j] = best == kInf ? kInf : cost + best;
-    }
-    std::swap(prev, curr);
-  }
-  return prev[m];
+double dtw_distance(std::span<const double> x, std::span<const double> y) {
+  if (x.empty() && y.empty()) return 0.0;
+  if (x.empty() || y.empty()) return std::numeric_limits<double>::infinity();
+  return simd::active().dtw(x.data(), x.size(), y.data(), y.size());
 }
 
 }  // namespace lumichat::signal

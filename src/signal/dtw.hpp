@@ -4,24 +4,15 @@
 // temporal misalignment.
 #pragma once
 
-#include <cstddef>
 #include <span>
 
 namespace lumichat::signal {
 
-/// Options for `dtw_distance`.
-struct DtwOptions {
-  /// Sakoe-Chiba band half-width in samples; 0 = unconstrained. A band keeps
-  /// the classifier from crediting pathological warpings that align a rising
-  /// edge at t=1 s with one at t=14 s.
-  std::size_t band = 0;
-};
-
-/// Classic DTW distance with absolute-difference local cost.
-/// Returns +inf if the band makes alignment infeasible; 0 for two empty
-/// inputs; +inf if exactly one input is empty (nothing can align).
+/// Classic unconstrained DTW distance with absolute-difference local cost.
+/// Returns 0 for two empty inputs and +inf if exactly one input is empty
+/// (nothing can align). The table is filled by the runtime-dispatched
+/// simd::Kernels::dtw, identically on every kernel table.
 [[nodiscard]] double dtw_distance(std::span<const double> x,
-                                  std::span<const double> y,
-                                  const DtwOptions& opts = {});
+                                  std::span<const double> y);
 
 }  // namespace lumichat::signal

@@ -58,10 +58,12 @@ Signal FirFilter::apply_zero_phase(const Signal& x) const {
 
 FirFilter design_lowpass(double cutoff_hz, double sample_rate_hz,
                          std::size_t num_taps) {
-  if (sample_rate_hz <= 0.0) {
-    throw std::invalid_argument("design_lowpass: sample rate must be positive");
+  // Negated comparisons, so NaN fails them too.
+  if (!(std::isfinite(sample_rate_hz) && sample_rate_hz > 0.0)) {
+    throw std::invalid_argument(
+        "design_lowpass: sample rate must be finite and positive");
   }
-  if (cutoff_hz <= 0.0 || cutoff_hz >= sample_rate_hz / 2.0) {
+  if (!(cutoff_hz > 0.0 && cutoff_hz < sample_rate_hz / 2.0)) {
     throw std::invalid_argument(
         "design_lowpass: cutoff must lie in (0, sample_rate/2)");
   }

@@ -29,7 +29,8 @@ struct FirFilter {
 ///
 /// \param cutoff_hz   -3 dB-ish cut-off frequency in Hz (must be > 0 and
 ///                    < sample_rate_hz / 2).
-/// \param sample_rate_hz sample rate of the signals it will be applied to.
+/// \param sample_rate_hz sample rate of the signals it will be applied to
+///                    (finite and > 0).
 /// \param num_taps    filter length; odd values keep the filter symmetric
 ///                    around an integer group delay (even values are bumped
 ///                    to the next odd number).

@@ -45,28 +45,55 @@ Signal savgol_coefficients(std::size_t window, std::size_t poly_order) {
   return kernel;
 }
 
-Signal savgol_filter(const Signal& x, std::size_t window,
-                     std::size_t poly_order) {
-  if (x.empty()) return {};
+namespace {
+
+// The odd window a smoother of nominal window `window` uses on an n-sample
+// signal: `window`
+// (an even one bumped to odd) when it fits, else the largest odd length
+// that fits, kept overdetermined for the fit; 0 when the signal is too
+// short to smooth meaningfully.
+std::size_t window_for(std::size_t n, std::size_t window,
+                       std::size_t poly_order) {
   std::size_t w = window;
   if (w % 2 == 0) ++w;
-  // Shrink the window for short clips so the fit stays overdetermined.
   const std::size_t min_w =
       (poly_order + 2) % 2 == 0 ? poly_order + 3 : poly_order + 2;
-  if (w > x.size()) {
-    w = (x.size() % 2 == 0) ? x.size() - 1 : x.size();
+  if (w > n) {
+    w = (n % 2 == 0) ? n - 1 : n;
     w = std::max(w, min_w);
-    if (w > x.size()) return x;  // too short to smooth meaningfully
+    if (w > n) return 0;
   }
+  return w;
+}
 
-  // Clamped correlation with the fitted kernel; the per-sample loop lives
-  // in the runtime-dispatched SIMD layer with the accumulation order
-  // (ascending kernel index) unchanged.
-  const Signal kernel = savgol_coefficients(w, poly_order);
+// Clamped correlation with the fitted kernel; the per-sample loop lives in
+// the runtime-dispatched SIMD layer with the accumulation order (ascending
+// kernel index) unchanged.
+Signal correlate(const Signal& x, const Signal& kernel) {
   Signal y(x.size(), 0.0);
   simd::active().correlate_same(x.data(), x.size(), kernel.data(),
                                 kernel.size(), y.data());
   return y;
+}
+
+}  // namespace
+
+SavgolSmoother::SavgolSmoother(std::size_t window, std::size_t poly_order)
+    : poly_order_(poly_order),
+      kernel_(savgol_coefficients(window % 2 == 0 ? window + 1 : window,
+                                  poly_order)) {}
+
+Signal SavgolSmoother::apply(const Signal& x) const {
+  if (x.empty()) return {};
+  const std::size_t w = window_for(x.size(), kernel_.size(), poly_order_);
+  if (w == 0) return x;
+  if (w == kernel_.size()) return correlate(x, kernel_);
+  return correlate(x, savgol_coefficients(w, poly_order_));
+}
+
+Signal savgol_filter(const Signal& x, std::size_t window,
+                     std::size_t poly_order) {
+  return SavgolSmoother(window, poly_order).apply(x);
 }
 
 }  // namespace lumichat::signal

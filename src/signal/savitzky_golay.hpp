@@ -7,7 +7,9 @@
 // polynomial to each window by linear least squares; the smoothed value is
 // the fitted polynomial evaluated at the window centre. Because the design
 // matrix depends only on window geometry, the fit reduces to a fixed
-// convolution kernel, computed once per (window, order) pair.
+// convolution kernel. Deriving it takes one small linear solve per window
+// sample, so a caller that smooths many signals with one configuration
+// holds a SavgolSmoother, which derives it once.
 #pragma once
 
 #include <cstddef>
@@ -24,10 +26,26 @@ namespace lumichat::signal {
 [[nodiscard]] Signal savgol_coefficients(std::size_t window,
                                          std::size_t poly_order);
 
-/// Applies Savitzky-Golay smoothing with edge-replicated boundaries.
-/// If the signal is shorter than the window, the window is shrunk to the
-/// largest odd length that fits (minimum poly_order + 1 | odd), mirroring
-/// scipy's practical behaviour for short clips.
+/// Savitzky-Golay smoothing with edge-replicated boundaries, its kernel
+/// derived once, at construction.
+class SavgolSmoother {
+ public:
+  /// \throws std::invalid_argument when poly_order is not below the
+  ///         window (an even window counts as the next odd one).
+  SavgolSmoother(std::size_t window, std::size_t poly_order);
+
+  /// If the signal is shorter than the window, the window is shrunk to the
+  /// largest odd length that fits (minimum poly_order + 1 | odd), mirroring
+  /// scipy's practical behaviour for short clips; that kernel is derived on
+  /// each call.
+  [[nodiscard]] Signal apply(const Signal& x) const;
+
+ private:
+  std::size_t poly_order_;
+  Signal kernel_;  ///< of the nominal (odd) window
+};
+
+/// One-off smoothing: SavgolSmoother(window, poly_order).apply(x).
 [[nodiscard]] Signal savgol_filter(const Signal& x, std::size_t window,
                                    std::size_t poly_order = 3);
 

@@ -2,8 +2,8 @@
 //
 // Every per-frame stage of the defense — nasal-ROI luminance reduction over
 // raw pixels, the FIR/Savitzky–Golay convolution chain, delay compensation,
-// the Pearson trend statistics, and the 4-D LOF distance scans — bottoms
-// out in one of the kernels below, as does the CRC-32 that seals
+// the Pearson and DTW trend statistics, and the 4-D LOF distance scans —
+// bottoms out in one of the kernels below, as does the CRC-32 that seals
 // every wire message (src/wire/crc32.hpp). So do the chat simulator's two
 // per-pixel loops, camera develop and codec blend-quantize, and the
 // engine-word and candidate steps of its standard-normal draws. Each
@@ -32,6 +32,13 @@
 //    path emulates the W lanes with W scalar accumulators, so the order is
 //    identical by construction. W is 4 for plain double reductions and 12
 //    (three 4-lane registers over interleaved r,g,b) for pixel reductions.
+//
+//  * dtw fills a dynamic-programming table whose every cell is one fixed
+//    operation sequence of three earlier cells and one input pair. The
+//    scalar path walks it row by row; the AVX2 path walks anti-diagonals
+//    (cells i + j = k do not depend on each other), 4 cells per
+//    instruction. Each cell sees the same operands either way, so the two
+//    agree bit for bit on every input, NaN, ±inf and -0.0 included.
 //
 //  * engine_words is integer arithmetic: both paths run the same
 //    std::mt19937_64 code (the AVX2 one compiled for AVX2), so they yield
@@ -139,6 +146,16 @@ struct Kernels {
   void (*squared_dist4_batch)(const double* xs, const double* ys,
                               const double* zs, const double* ws,
                               std::size_t n, const double q[4], double* out);
+
+  /// Dynamic-time-warping distance of x (n ≥ 1) and y (m ≥ 1) with
+  /// absolute-difference local cost: D[0][0] = 0, D[i][0] = D[0][j] = +inf,
+  /// and for i, j ≥ 1
+  ///   best = std::min({D[i-1][j], D[i][j-1], D[i-1][j-1]});
+  ///   D[i][j] = best == +inf ? +inf : std::fabs(x[i-1] - y[j-1]) + best.
+  /// Returns D[n][m]. std::min keeps the first of equal (or unordered)
+  /// candidates, which is the order the AVX2 path's two vminpd reproduce.
+  double (*dtw)(const double* x, std::size_t n, const double* y,
+                std::size_t m);
 
   /// Folds `len` bytes into a running CRC-32 state: IEEE 802.3, reflected
   /// polynomial 0xEDB88320, no pre/post inversion (the caller starts from

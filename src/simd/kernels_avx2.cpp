@@ -13,8 +13,11 @@
 // This TU is compiled with -mavx2 -mpclmul and is only entered when
 // dispatch.cpp selected the AVX2 table, which requires runtime CPUID support
 // for both extensions.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
@@ -268,6 +271,56 @@ void squared_dist4_batch_avx2(const double* xs, const double* ys,
   for (std::size_t i = n4; i < n; ++i) {
     out[i] = detail::squared_dist4_one(xs, ys, zs, ws, i, q);
   }
+}
+
+// Anti-diagonal wavefront: the cells (i, k - i) of diagonal k read only
+// diagonals k-1 (up, left) and k-2 (diag), so 4 of them go per instruction.
+// Three rolling diagonals are indexed by i; y is stored reversed so that
+// y[k-i-1] also runs forward in i. Each cell is detail::dtw_cell's sequence:
+// vminpd(a, b) is a < b ? a : b, so min(left, up) then min(diag, ·) keeps
+// the first smallest of (up, left, diag) as std::min does, NaN included.
+double dtw_avx2(const double* x, std::size_t n, const double* y,
+                std::size_t m) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> buf(3 * (n + 1) + m, kInf);
+  double* d2 = buf.data();   // diagonal k-2
+  double* d1 = d2 + n + 1;   // diagonal k-1
+  double* d0 = d1 + n + 1;   // diagonal k
+  double* yr = d0 + n + 1;   // yr[t] = y[m-1-t]
+  for (std::size_t t = 0; t < m; ++t) yr[t] = y[m - 1 - t];
+  d2[0] = 0.0;  // D[0][0]; diagonal 1 (D[0][1], D[1][0]) is all +inf
+
+  const __m256d inf = _mm256_set1_pd(kInf);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  for (std::size_t k = 2; k <= n + m; ++k) {
+    // The border cells D[0][k] and D[k][0] of this diagonal.
+    if (k <= m) d0[0] = kInf;
+    if (k <= n) d0[k] = kInf;
+    std::size_t i = k > m ? k - m : 1;
+    const std::size_t i_end = std::min(n, k - 1) + 1;
+    // yk[i] = y[k-i-1]; the offset m - k turns negative once k > m.
+    const double* yk = yr + static_cast<std::ptrdiff_t>(m) -
+                       static_cast<std::ptrdiff_t>(k);
+    for (; i + 4 <= i_end; i += 4) {
+      const __m256d cost = _mm256_andnot_pd(
+          sign, _mm256_sub_pd(_mm256_loadu_pd(x + i - 1),
+                              _mm256_loadu_pd(yk + i)));
+      __m256d best = _mm256_min_pd(_mm256_loadu_pd(d1 + i),       // left
+                                   _mm256_loadu_pd(d1 + i - 1));  // up
+      best = _mm256_min_pd(_mm256_loadu_pd(d2 + i - 1), best);    // diag
+      const __m256d guard = _mm256_cmp_pd(best, inf, _CMP_EQ_OQ);
+      _mm256_storeu_pd(
+          d0 + i, _mm256_blendv_pd(_mm256_add_pd(cost, best), inf, guard));
+    }
+    for (; i < i_end; ++i) {
+      d0[i] = detail::dtw_cell(x[i - 1], yk[i], d1[i - 1], d1[i], d2[i - 1]);
+    }
+    double* const spent = d2;
+    d2 = d1;
+    d1 = d0;
+    d0 = spent;
+  }
+  return d1[n];
 }
 
 /// Left-pack permutations for _mm256_permutevar8x32_epi32: row `mask`
@@ -530,6 +583,7 @@ const Kernels* avx2_kernels() {
       luminance_row_sum_avx2,
       rgb_channel_sums_avx2,
       squared_dist4_batch_avx2,
+      dtw_avx2,
       crc32_update_avx2,
       detail::engine_words_avx2,
       polar_candidates_avx2,

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "simd/kernels.hpp"
 
@@ -56,6 +57,17 @@ inline double sample_at(const double* x, std::size_t n, double t) {
   const std::size_t i1 = std::min(i0 + 1, n - 1);
   const double frac = t - static_cast<double>(i0);
   return x[i0] * (1.0 - frac) + x[i1] * frac;
+}
+
+/// One DTW table cell from its upper, left and diagonal neighbours (see
+/// Kernels::dtw): the first smallest neighbour, then the +inf guard, then
+/// one add of the local cost.
+inline double dtw_cell(double xi, double yj, double up, double left,
+                       double diag) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double cost = std::fabs(xi - yj);
+  const double best = std::min({up, left, diag});
+  return best == kInf ? kInf : cost + best;
 }
 
 /// One pixel's weighted luminance, the tail-pixel grouping of

@@ -7,6 +7,9 @@
 // LUMICHAT_SIMD=scalar).
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "simd/kernels.hpp"
 #include "simd/kernels_detail.hpp"
@@ -172,6 +175,25 @@ void squared_dist4_batch_scalar(const double* xs, const double* ys,
   }
 }
 
+// The row recurrence: two rolling rows of the (n+1)×(m+1) table.
+double dtw_scalar(const double* x, std::size_t n, const double* y,
+                  std::size_t m) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> rows(2 * (m + 1), kInf);
+  double* prev = rows.data();
+  double* curr = prev + (m + 1);
+  prev[0] = 0.0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    curr[0] = kInf;
+    for (std::size_t j = 1; j <= m; ++j) {
+      curr[j] = detail::dtw_cell(x[i - 1], y[j - 1], prev[j], curr[j - 1],
+                                 prev[j - 1]);
+    }
+    std::swap(prev, curr);
+  }
+  return prev[m];
+}
+
 std::size_t polar_candidates_scalar(const std::uint64_t* u, std::size_t m,
                                    double* xs, double* ys, double* r2s) {
   std::size_t count = 0;
@@ -212,6 +234,7 @@ const Kernels& scalar_kernels() {
       luminance_row_sum_scalar,
       rgb_channel_sums_scalar,
       squared_dist4_batch_scalar,
+      dtw_scalar,
       detail::crc32_slice8,
       detail::engine_words_scalar,
       polar_candidates_scalar,

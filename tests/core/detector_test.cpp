@@ -1,5 +1,7 @@
 #include "core/detector.hpp"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -18,6 +20,14 @@ std::vector<FeatureVector> legit_like(std::size_t n, std::uint64_t seed) {
                                 0.2 + rng.uniform(0.0, 0.2)});
   }
   return out;
+}
+
+TEST(Detector, RejectsBrokenFilterDesignAtConstruction) {
+  // A low-pass cut-off at Nyquist fails here, not when the first window
+  // is preprocessed.
+  DetectorConfig cfg;
+  cfg.lowpass_cutoff_hz = cfg.sample_rate_hz / 2.0;
+  EXPECT_THROW(Detector{cfg}, std::invalid_argument);
 }
 
 TEST(Detector, ClassifyBeforeTrainingThrows) {

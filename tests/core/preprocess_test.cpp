@@ -1,10 +1,17 @@
 #include "core/preprocess.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "signal/fir.hpp"
+#include "signal/savitzky_golay.hpp"
+#include "signal/threshold.hpp"
+#include "signal/windows.hpp"
 
 namespace lumichat::core {
 namespace {
@@ -141,6 +148,98 @@ TEST(Preprocess, LowerSampleRateStillFindsWellSeparatedSteps) {
   }
   const PreprocessResult r = pre.process_transmitted(raw);
   EXPECT_GE(r.peaks.size(), 1u);
+}
+
+// process() as the chain ran before the preprocessor designed its filters
+// once: the low-pass taps and the Savitzky-Golay kernel derived on every
+// call (finite input, so no sanitising).
+PreprocessResult per_call_chain(const DetectorConfig& cfg,
+                                const signal::Signal& raw,
+                                double min_prominence) {
+  PreprocessResult r;
+  r.filtered = signal::design_lowpass(cfg.lowpass_cutoff_hz,
+                                      cfg.sample_rate_hz, cfg.lowpass_taps)
+                   .apply_zero_phase(raw);
+  r.variance = signal::moving_variance(r.filtered, cfg.variance_window);
+  r.thresholded = signal::threshold_filter(r.variance, cfg.variance_threshold);
+  signal::Signal s = signal::moving_rms(r.thresholded, cfg.rms_window);
+  s = signal::savgol_filter(s, cfg.savgol_window, cfg.savgol_order);
+  r.smoothed_variance = signal::moving_average_centered(s, cfg.moving_avg_window);
+  signal::PeakOptions opts;
+  opts.min_prominence = min_prominence;
+  opts.min_distance = static_cast<std::size_t>(
+      std::lround(cfg.peak_min_distance_s * cfg.sample_rate_hz));
+  r.peaks = signal::find_peaks(r.smoothed_variance, opts);
+  for (const signal::Peak& p : r.peaks) {
+    r.change_times_s.push_back(static_cast<double>(p.index) /
+                               cfg.sample_rate_hz);
+  }
+  return r;
+}
+
+void expect_same_bits(const signal::Signal& a, const signal::Signal& b,
+                      const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << what << " sample " << i;
+  }
+}
+
+TEST(Preprocess, DesignedOnceEqualsDesignedPerCallBitwise) {
+  // Longer than, equal to and shorter than the 31-sample SG window (20
+  // samples shrink the window; 3 are too short to smooth at all).
+  for (const double rate : {5.0, 8.0, 10.0}) {
+    DetectorConfig cfg;
+    cfg.sample_rate_hz = rate;
+    const Preprocessor pre(cfg);
+    for (const std::size_t n : {std::size_t{150}, std::size_t{31},
+                                std::size_t{20}, std::size_t{3}}) {
+      common::Rng rng(static_cast<std::uint64_t>(rate * 1000) + n);
+      signal::Signal raw(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double t = static_cast<double>(i) / rate;
+        raw[i] = (std::fmod(t, 6.0) < 3.0 ? 180.0 : 60.0) +
+                 rng.gaussian(0.0, 2.0);
+      }
+      for (const double prominence :
+           {cfg.screen_min_prominence, cfg.face_min_prominence}) {
+        SCOPED_TRACE(testing::Message() << rate << " Hz, n=" << n
+                                        << ", prominence " << prominence);
+        const PreprocessResult got = pre.process(raw, prominence);
+        const PreprocessResult want = per_call_chain(cfg, raw, prominence);
+        expect_same_bits(got.filtered, want.filtered, "filtered");
+        expect_same_bits(got.variance, want.variance, "variance");
+        expect_same_bits(got.thresholded, want.thresholded, "thresholded");
+        expect_same_bits(got.smoothed_variance, want.smoothed_variance,
+                         "smoothed_variance");
+        expect_same_bits(got.change_times_s, want.change_times_s,
+                         "change_times_s");
+        ASSERT_EQ(got.peaks.size(), want.peaks.size());
+        for (std::size_t i = 0; i < got.peaks.size(); ++i) {
+          EXPECT_EQ(got.peaks[i].index, want.peaks[i].index);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.peaks[i].prominence),
+                    std::bit_cast<std::uint64_t>(want.peaks[i].prominence));
+        }
+      }
+    }
+  }
+}
+
+TEST(Preprocess, RejectsBrokenFilterDesignAtConstruction) {
+  DetectorConfig at_nyquist;
+  at_nyquist.lowpass_cutoff_hz = 5.0;  // Nyquist of the 10 Hz default
+  EXPECT_THROW(Preprocessor{at_nyquist}, std::invalid_argument);
+  DetectorConfig slow;
+  slow.sample_rate_hz = 1.5;  // the 1 Hz cut-off lies above 0.75 Hz
+  EXPECT_THROW(Preprocessor{slow}, std::invalid_argument);
+  DetectorConfig nan_cutoff;
+  nan_cutoff.lowpass_cutoff_hz = std::nan("");
+  EXPECT_THROW(Preprocessor{nan_cutoff}, std::invalid_argument);
+  DetectorConfig overfit;
+  overfit.savgol_order = overfit.savgol_window;  // no overdetermined fit
+  EXPECT_THROW(Preprocessor{overfit}, std::invalid_argument);
 }
 
 }  // namespace

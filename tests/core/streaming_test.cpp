@@ -356,5 +356,16 @@ TEST(Streaming, RejectsDegenerateWindows) {
   EXPECT_EQ(sd.flush().window_samples, 1u);
 }
 
+TEST(Streaming, RejectsBrokenFilterDesignAtConstruction) {
+  // A filter design the detector cannot run fails at construction, not 15 s
+  // into the stream when the first window closes.
+  StreamingConfig at_nyquist;
+  at_nyquist.detector.lowpass_cutoff_hz = 5.0;
+  EXPECT_THROW(StreamingDetector{at_nyquist}, std::invalid_argument);
+  StreamingConfig slow;
+  slow.detector.sample_rate_hz = 1.5;  // the 1 Hz cut-off is above Nyquist
+  EXPECT_THROW(StreamingDetector{slow}, std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace lumichat::core

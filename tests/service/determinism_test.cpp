@@ -171,6 +171,12 @@ TEST(ServiceLoad, FullChatRunExplainsEveryWindowAndCountsItsPumps) {
   EXPECT_GT(report.stats.counter("scheduler.drain_tasks"), 0u);
   EXPECT_EQ(report.stats.counter("service.frames_processed"),
             report.frames_fed);
+  // The window step has its own stage histogram: one sample per verdict.
+  const obs::HistogramSnapshot* window =
+      report.stats.histogram("service.stage.window");
+  ASSERT_NE(window, nullptr);
+  EXPECT_EQ(window->count, report.stats.counter("service.windows_completed"));
+  EXPECT_EQ(window->count, windows);
 }
 
 /// paperbench's corpus rounding of one channel (bench/corpus.cpp).

@@ -74,6 +74,15 @@ TEST(SessionManager, RequiresPublishedModel) {
                std::invalid_argument);
 }
 
+TEST(SessionManager, RejectsBrokenFilterDesignAtConstruction) {
+  // Not at the first create(), and not when that session's first window
+  // closes inside a drain.
+  core::StreamingConfig broken = test_streaming_config();
+  broken.detector.lowpass_cutoff_hz = broken.detector.sample_rate_hz / 2.0;
+  EXPECT_THROW(SessionManager(small_config(), broken, trained_registry()),
+               std::invalid_argument);
+}
+
 TEST(SessionManager, CreateFeedVerdictEvictLifecycle) {
   SessionManager m(small_config(), test_streaming_config(),
                  trained_registry());
@@ -327,7 +336,7 @@ TEST(SessionManager, ServiceInstrumentsFollowTheSessionLifecycle) {
   // The registry holds the same values under the exported service.* names.
   const obs::RegistrySnapshot s = m.metrics().snapshot();
   EXPECT_EQ(s.counters.size(), 10u);
-  EXPECT_EQ(s.histograms.size(), 3u);
+  EXPECT_EQ(s.histograms.size(), 4u);
   EXPECT_TRUE(s.gauges.empty());
   EXPECT_EQ(counter_value(s, "service.sessions_created"),
             snap.sessions_created);
@@ -349,6 +358,7 @@ TEST(SessionManager, ServiceInstrumentsFollowTheSessionLifecycle) {
   EXPECT_EQ(histogram_count(s, "service.push_to_verdict"), 1u);
   EXPECT_EQ(histogram_count(s, "service.stage.queue_wait"), 20u);
   EXPECT_EQ(histogram_count(s, "service.stage.detect"), 20u);
+  EXPECT_EQ(histogram_count(s, "service.stage.window"), 1u);
 }
 
 TEST(SessionManager, ShardSessionCountsSumToActive) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dtw_inputs.hpp"
 #include "simd/dispatch.hpp"
 #include "render_kernel_inputs.hpp"
 
@@ -294,6 +295,33 @@ TEST_F(KernelEquality, CodecBlendQuantize) {
         }
       }
     }
+  }
+}
+
+TEST_F(KernelEquality, Dtw) {
+  // Every shape pair (so every diagonal length and 4-cell tail), plain and
+  // with special values, then random unequal lengths 1..200. Strict bit
+  // equality, NaN included: every NaN a DTW table can hold is fabs() of
+  // one, so its sign bit is clear whichever operand an add propagates.
+  std::uint64_t seed = 31;
+  auto check = [&](std::size_t n, std::size_t m, bool specials) {
+    const auto x = testing::dtw_signal(++seed, n, specials);
+    const auto y = testing::dtw_signal(++seed, m, specials);
+    ASSERT_EQ(bits(scalar_.dtw(x.data(), n, y.data(), m)),
+              bits(avx2_->dtw(x.data(), n, y.data(), m)))
+        << "n=" << n << " m=" << m << " specials=" << specials;
+  };
+  for (const std::size_t n : testing::kDtwLens) {
+    for (const std::size_t m : testing::kDtwLens) {
+      check(n, m, false);
+      check(n, m, true);
+    }
+  }
+  std::uint64_t s = 5;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + testing::next_word(s) % 200;
+    const std::size_t m = 1 + testing::next_word(s) % 200;
+    check(n, m, trial % 2 == 1);
   }
 }
 

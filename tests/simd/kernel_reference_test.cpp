@@ -8,11 +8,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dtw_inputs.hpp"
 #include "model/snapshot.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
@@ -149,6 +152,45 @@ std::vector<const Kernels*> tables() {
   std::vector<const Kernels*> t = {&scalar_kernels()};
   if (avx2_kernels() != nullptr) t.push_back(avx2_kernels());
   return t;
+}
+
+// The pre-kernel signal::dtw_distance row loop (its band disabled),
+// verbatim.
+double legacy_dtw(const std::vector<double>& x, const std::vector<double>& y) {
+  const std::size_t n = x.size();
+  const std::size_t m = y.size();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> prev(m + 1, kInf);
+  std::vector<double> curr(m + 1, kInf);
+  prev[0] = 0.0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    std::fill(curr.begin(), curr.end(), kInf);
+    for (std::size_t j = 1; j <= m; ++j) {
+      const double cost = std::fabs(x[i - 1] - y[j - 1]);
+      const double best = std::min({prev[j], curr[j - 1], prev[j - 1]});
+      curr[j] = best == kInf ? kInf : cost + best;
+    }
+    std::swap(prev, curr);
+  }
+  return prev[m];
+}
+
+TEST(KernelReference, DtwMatchesLegacyRowLoopBitwise) {
+  std::uint64_t seed = 41;
+  for (const Kernels* k : tables()) {
+    for (const std::size_t n : testing::kDtwLens) {
+      for (const std::size_t m : testing::kDtwLens) {
+        for (const bool specials : {false, true}) {
+          const auto x = testing::dtw_signal(++seed, n, specials);
+          const auto y = testing::dtw_signal(++seed, m, specials);
+          ASSERT_EQ(bits(k->dtw(x.data(), n, y.data(), m)),
+                    bits(legacy_dtw(x, y)))
+              << k->name << " n=" << n << " m=" << m
+              << " specials=" << specials;
+        }
+      }
+    }
+  }
 }
 
 // The pre-kernel CameraModel::capture per-channel lambda, verbatim except

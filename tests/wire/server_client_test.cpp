@@ -334,6 +334,7 @@ TEST(WireServerClient, StatsRequestServesRegistrySnapshot) {
   EXPECT_NE(json.find("\"service.shard.000.sessions\":"), std::string::npos);
   EXPECT_NE(json.find("\"wire.stage.decode\":"), std::string::npos);
   EXPECT_NE(json.find("\"service.stage.queue_wait\":"), std::string::npos);
+  EXPECT_NE(json.find("\"service.stage.window\":"), std::string::npos);
 
   const std::string& prom = events[1].text;
   EXPECT_EQ(events[1].format, StatsFormat::kPrometheus);
